@@ -39,6 +39,7 @@ from .errors import (
     DuplicateElements,
     EmptyFamily,
     InvalidBand,
+    InvalidBudget,
     InvalidNesting,
     LengthMismatch,
     NotAPrimePower,

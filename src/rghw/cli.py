@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
 from random import Random
 
 from .boxcomb import BoxShape, DegreeBand, band_size, check_band
-from .codes import build_code, build_grid
-from .errors import BudgetExceeded, RghwError, SubsetTooLarge
+from .codes import build_code, build_grid, check_sizes
+from .errors import BudgetExceeded, RghwError
 from .gf import Field
 from .oracle import OracleBudget, oracle_rghw_support, oracle_rghw_window
 from .polynomials import common_zero_count, footprint_count, maximal_family, random_poly
@@ -50,18 +51,6 @@ def _warn(message: str) -> None:
 
 def _budget(args) -> OracleBudget:
     return OracleBudget(max_states=args.budget_states, time_cap=args.budget_seconds)
-
-
-def _validate_sizes(sizes, q: int) -> BoxShape:
-    shape = BoxShape(sizes)
-    if max(shape.d) > q:
-        raise SubsetTooLarge(f"d_m = {max(shape.d)} > q = {q}")
-    if tuple(sizes) != shape.d:
-        _warn(
-            f"WARNING: sizes {list(sizes)} sorted ascending to {list(shape.d)} "
-            f"(permutation {list(shape.permutation)})"
-        )
-    return shape
 
 
 # -- output helpers -----------------------------------------------------------------
@@ -128,7 +117,8 @@ def cmd_hierarchy(args) -> int:
     q = args.q
     field = Field(q)
     sizes = parse_ints(args.sizes, "sizes")
-    shape = _validate_sizes(sizes, q)
+    subsets = parse_subsets(args.subsets) if args.subsets else None
+    shape = check_sizes(field, sizes, subsets, warn=_warn)
     band = DegreeBand(args.u2, args.u1)
     check_band(shape, band)
     if args.r is not None:
@@ -136,18 +126,14 @@ def cmd_hierarchy(args) -> int:
     else:
         records = list(hierarchy(shape, band).records)
     if args.oracle:
-        subsets = parse_subsets(args.subsets) if args.subsets else None
         grid = build_grid(field, sizes, subsets=subsets, policy=args.policy)
         c1 = build_code(grid, band.u1)
         c2 = build_code(grid, band.u2) if band.u2 >= 0 else None
         budget = _budget(args)
-        confirmed = []
-        for rec in records:
-            result = oracle_rghw_support(c1, c2, rec.r, budget)
-            confirmed.append(
-                type(rec)(rec.r, rec.a_r, rec.s, rec.m_r, rec.max_zeros, result.value)
-            )
-        records = confirmed
+        records = [
+            dataclasses.replace(rec, oracle=oracle_rghw_support(c1, c2, rec.r, budget).value)
+            for rec in records
+        ]
     _print_hierarchy(q, shape, band, records, args.format)
     return 0
 
@@ -156,11 +142,11 @@ def cmd_maximal(args) -> int:
     q = args.q
     field = Field(q)
     sizes = parse_ints(args.sizes, "sizes")
-    shape = _validate_sizes(sizes, q)
+    subsets = parse_subsets(args.subsets) if args.subsets else None
+    shape = check_sizes(field, sizes, subsets, warn=_warn)
     band = DegreeBand(args.u2, args.u1)
     check_band(shape, band)
     record = rghw(WeightQuery(shape, band, args.r))
-    subsets = parse_subsets(args.subsets) if args.subsets else None
     grid = build_grid(field, sizes, subsets=subsets, policy=args.policy)
     family = maximal_family(grid, band, args.r)
     zeros = common_zero_count(family, grid)
@@ -332,6 +318,8 @@ def cmd_verify(args) -> int:
             )
             if violations:
                 summary["mismatch"] += len(violations)
+    if not rows and not any(line["families"] > 0 for line in footprint_lines):
+        raise ValueError("verify checked no tuple and no footprint family")
     if args.format == "json":
         obj = {"grid": rows, "footprint": footprint_lines, "summary": summary}
         print(json.dumps(obj, indent=2))

@@ -19,7 +19,6 @@ plain RREF since every matrix here is desk-scale.
 from __future__ import annotations
 
 import itertools
-import sys
 from typing import Iterable, Sequence
 
 from .boxcomb import BoxShape, DegreeBand, enumerate_band
@@ -132,6 +131,22 @@ class CartesianGrid:
         return f"CartesianGrid(GF({self.field.q}), {self.shape.d})"
 
 
+def check_sizes(field: Field, sizes, subsets=None, warn=None) -> BoxShape:
+    """Ascending shape of `sizes`, checked with any explicit subsets against
+    GF(q); a reordering of `sizes` is reported through `warn`."""
+    shape = BoxShape(sizes)
+    if shape.d[-1] > field.q:
+        raise SubsetTooLarge(f"d_m = {shape.d[-1]} > q = {field.q}")
+    if subsets is not None and len(subsets) != shape.m:
+        raise ShapeMismatch(f"{len(subsets)} subsets for an m = {shape.m} box")
+    if tuple(sizes) != shape.d and warn is not None:
+        warn(
+            f"WARNING: sizes {list(sizes)} sorted ascending to {list(shape.d)} "
+            f"(permutation {list(shape.permutation)})"
+        )
+    return shape
+
+
 def build_grid(
     field: Field,
     sizes: Iterable[int],
@@ -145,16 +160,7 @@ def build_grid(
     policy picks default subsets when none are given: "first" takes the
     lowest d_i encodings of the field, "last" the highest.
     """
-    shape = BoxShape(sizes)
-    sizes = tuple(sizes)
-    if sizes != shape.d and warn is not None:
-        warn(
-            f"WARNING: sizes {list(sizes)} sorted ascending to {list(shape.d)} "
-            f"(permutation {list(shape.permutation)})"
-        )
-    for s in shape.d:
-        if s > field.q:
-            raise SubsetTooLarge(f"d_m = {s} > q = {field.q}")
+    shape = check_sizes(field, tuple(sizes), subsets, warn)
     if subsets is not None:
         chosen = [subsets[shape.permutation[i]] for i in range(shape.m)]
     elif policy == "first":
@@ -222,7 +228,3 @@ def support_of_span(vectors: Sequence[Sequence[int]]) -> set:
         if len(v) != width:
             raise LengthMismatch("vectors of mixed lengths")
     return {i + 1 for i in range(width) if any(v[i] for v in vectors)}
-
-
-def warn_to_stderr(message: str) -> None:
-    print(message, file=sys.stderr)

@@ -65,6 +65,10 @@ class InvalidNesting(RghwError):
     """C2 is not a subcode of C1 on the same grid."""
 
 
+class InvalidBudget(RghwError):
+    """An oracle budget allows no state or a negative time."""
+
+
 class BudgetExceeded(RghwError):
     """An oracle ran out of its state or wall-clock budget.
 

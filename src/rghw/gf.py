@@ -13,9 +13,12 @@ i.e. picks the candidate with the smallest base-p integer encoding of
 its low coefficients.  Irreducibility is checked by trial division by
 every monic polynomial of degree 1..e//2, which is cheap in this range.
 
-Fields with q <= 256 precompute full addition/multiplication/inverse
-tables so the oracle inner loops run on table lookups; larger fields
-fall back to on-the-fly digit arithmetic.
+Every field, prime or not, computes with the same three O(q) tables
+(Lidl-Niederreiter, *Finite Fields*, ch. 9): for a primitive element g,
+exp[i] = g^i, log[g^i] = i and the Zech logarithm zech[n] = log(1 + g^n),
+so g^a + g^b = g^(a + zech[b - a]).  Zero's log is 2(q-1), past every sum
+of two nonzero logs, and exp reads 0 from there on, so products and
+negations with zero need no branch.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 from .errors import DivisionByZero, NotAPrimePower
 
 _MAX_Q = 1 << 16
-_TABLE_Q = 256
 
 
 def _smallest_prime_factor(n: int) -> int:
@@ -57,13 +59,6 @@ def _int_to_poly(t: int, p: int, e: int) -> list[int]:
         digits.append(t % p)
         t //= p
     return digits
-
-
-def _poly_to_int(coeffs: list[int], p: int) -> int:
-    t = 0
-    for c in reversed(coeffs):
-        t = t * p + c
-    return t
 
 
 def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
@@ -100,6 +95,65 @@ def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible of degree {e} over GF({p})")  # unreachable
 
 
+def _mul_digits(a: int, b: int, p: int, e: int, modulus: tuple[int, ...]) -> int:
+    """Schoolbook product of two encodings; only used to build the tables."""
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(_int_to_poly(a, p, e)):
+        for j, y in enumerate(_int_to_poly(b, p, e)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    rem = _poly_mod(prod, list(modulus), p) if modulus else prod  # e = 1: constants
+    return sum(c * p**i for i, c in enumerate(rem))
+
+
+def _powers(p: int, e: int, modulus: tuple[int, ...]) -> list[int]:
+    """g^0 .. g^(q-2) as encodings, for g the smallest encoding >= 2 of
+    multiplicative order q - 1 (g = 1 for GF(2)).
+
+    Multiplication by g is GF(p)-linear, so the table of g*t over all t is
+    the span of the images g*x^j.  Spans are summed on "spread" ints that
+    give each base-p digit its own w-bit slot: an integer add, then
+    subtracting p from every slot that reached p, reduces all slots at once.
+    """
+    n = p**e - 1
+    cofactors = [n // f for f in range(2, n + 1) if n % f == 0 and _smallest_prime_factor(f) == f]
+
+    def power(a: int, k: int) -> int:
+        result = 1
+        for bit in bin(k)[2:]:
+            result = _mul_digits(result, result, p, e, modulus)
+            if bit == "1":
+                result = _mul_digits(result, a, p, e, modulus)
+        return result
+
+    g = next((c for c in range(2, n + 1) if all(power(c, k) != 1 for k in cofactors)), 1)
+    w = p.bit_length() + 1  # a slot holds 2p-2 plus a bias below 2^(w-1)
+    bias = sum(((1 << (w - 1)) - p) << (j * w) for j in range(e))
+    top_bits = sum(1 << (j * w + w - 1) for j in range(e))
+
+    def add(s: int, t: int) -> int:
+        s += t
+        return s - p * (((s + bias) & top_bits) >> (w - 1))
+
+    def span(images: list[int]) -> list[int]:
+        """sum_j u_j * images[j] for u = 0 .. p^e - 1, u_j the digits of u."""
+        out = [0]
+        for image in images:
+            multiples = [0]
+            for _ in range(p - 1):
+                multiples.append(add(multiples[-1], image))
+            out = [add(t, m) for m in multiples for t in out]
+        return out
+
+    spread = span([1 << (j * w) for j in range(e)])  # spread[t] for every encoding t
+    encoding = {s: t for t, s in enumerate(spread)}
+    images = [spread[_mul_digits(g, p**j, p, e, modulus)] for j in range(e)]
+    times_g = [encoding[s] for s in span(images)]
+    out = [1]
+    for _ in range(n - 1):
+        out.append(times_g[out[-1]])
+    return out
+
+
 class Field:
     """GF(q) with elements encoded as ints 0..q-1.
 
@@ -117,7 +171,7 @@ class Field:
         empty tuple for prime fields.
     """
 
-    __slots__ = ("q", "p", "e", "modulus", "_add_t", "_mul_t", "_neg_t", "_inv_t")
+    __slots__ = ("q", "p", "e", "modulus", "_exp", "_log", "_zech", "_log_neg1")
 
     def __init__(self, q: int):
         if not isinstance(q, int) or q < 2 or q > _MAX_Q:
@@ -125,97 +179,47 @@ class Field:
         self.q = q
         self.p, self.e = _prime_power(q)
         self.modulus = _smallest_irreducible(self.p, self.e) if self.e > 1 else ()
-        if q <= _TABLE_Q:
-            self._build_tables()
-        else:
-            self._add_t = self._mul_t = self._neg_t = self._inv_t = None
-
-    # -- construction helpers -------------------------------------------------
-
-    def _build_tables(self) -> None:
-        q = self.q
-        add_t = [[self._add_slow(a, b) for b in range(q)] for a in range(q)]
-        mul_t = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
-        self._add_t = add_t
-        self._mul_t = mul_t
-        self._neg_t = [self._neg_slow(a) for a in range(q)]
-        inv_t = [0] * q
-        for a in range(1, q):
-            row = mul_t[a]
-            for b in range(1, q):
-                if row[b] == 1:
-                    inv_t[a] = b
-                    break
-        self._inv_t = inv_t
-
-    def _add_slow(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
-        p = self.p
-        da = _int_to_poly(a, p, self.e)
-        db = _int_to_poly(b, p, self.e)
-        return _poly_to_int([(x + y) % p for x, y in zip(da, db)], p)
-
-    def _neg_slow(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        p = self.p
-        return _poly_to_int([(-x) % p for x in _int_to_poly(a, p, self.e)], p)
-
-    def _mul_slow(self, a: int, b: int) -> int:
-        p = self.p
-        if self.e == 1:
-            return (a * b) % p
-        da = _int_to_poly(a, p, self.e)
-        db = _int_to_poly(b, p, self.e)
-        prod = [0] * (2 * self.e - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        rem = _poly_mod(prod, list(self.modulus), p)
-        rem += [0] * (self.e - len(rem))
-        return _poly_to_int(rem, p)
+        powers = _powers(self.p, self.e, self.modulus)
+        log = [2 * q - 2] * q
+        for i, t in enumerate(powers):
+            log[t] = i
+        # 1 + g^i adds one to the low digit of g^i
+        self._zech = [log[t + 1 if (t + 1) % self.p else t + 1 - self.p] for t in powers]
+        self._exp = powers + powers + [0] * (2 * q - 1)
+        self._log = log
+        self._log_neg1 = log[self.p - 1]  # p - 1 encodes -1
 
     # -- arithmetic ------------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self._add_t is not None:
-            return self._add_t[a][b]
-        return self._add_slow(a, b)
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        # a negative index wraps like (log b - log a) mod (q - 1)
+        return self._exp[la + self._zech[self._log[b] - la]]
 
     def neg(self, a: int) -> int:
-        if self._neg_t is not None:
-            return self._neg_t[a]
-        return self._neg_slow(a)
+        return self._exp[self._log[a] + self._log_neg1]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_t is not None:
-            return self._mul_t[a][b]
-        return self._mul_slow(a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero(f"inverse of 0 in GF({self.q})")
-        if self._inv_t is not None:
-            return self._inv_t[a]
-        return self.pow(a, self.q - 2)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:
-            a = self.inv(a)
-            n = -n
-        result = 1
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
+            return self.inv(self.pow(a, -n))
+        if not a:
+            return 0 if n else 1
+        return self._exp[self._log[a] * n % (self.q - 1)]
 
     def elements(self) -> list[int]:
         """All field elements in ascending canonical encoding."""

@@ -36,7 +36,7 @@ from typing import Sequence
 
 from .boxcomb import DegreeBand, check_band, enumerate_band
 from .codes import CartesianCode, CartesianGrid, rref
-from .errors import BudgetExceeded, InvalidNesting, RankOutOfRange
+from .errors import BudgetExceeded, InvalidBudget, InvalidNesting, RankOutOfRange
 from .polynomials import MultiPoly
 
 DEFAULT_MAX_STATES = 10**8
@@ -47,6 +47,12 @@ DEFAULT_TIME_CAP = 300
 class OracleBudget:
     max_states: int = DEFAULT_MAX_STATES
     time_cap: int = DEFAULT_TIME_CAP  # wall-clock seconds
+
+    def __post_init__(self):
+        if self.max_states < 1:
+            raise InvalidBudget(f"state budget {self.max_states} is below 1")
+        if self.time_cap < 0:
+            raise InvalidBudget(f"time budget {self.time_cap} s is negative")
 
 
 @dataclass(frozen=True)
@@ -93,17 +99,7 @@ def _check_pair(c1: CartesianCode, c2: CartesianCode | None) -> None:
         raise InvalidNesting(f"u2 = {c2.d} >= u1 = {c1.d}")
 
 
-def _vec_add(field, x, y):
-    if field._add_t is not None:
-        addt = field._add_t
-        return tuple(addt[a][b] for a, b in zip(x, y))
-    return tuple(field.add(a, b) for a, b in zip(x, y))
-
-
 def _vec_scale(field, c, x):
-    if field._mul_t is not None:
-        row = field._mul_t[c]
-        return tuple(row[a] for a in x)
     return tuple(field.mul(c, a) for a in x)
 
 
@@ -123,13 +119,9 @@ def _coset_vectors(field, base, gens, meter: _Meter) -> list:
     for g in gens:
         block = list(vectors)
         for c in range(1, field.q):
-            scaled = _vec_scale(field, c, g)
-            cols = [field._add_t[s] for s in scaled] if field._add_t is not None else None
-            if cols is not None:
-                block_add = [tuple(col[a] for col, a in zip(cols, x)) for x in block]
-            else:
-                block_add = [_vec_add(field, x, scaled) for x in block]
-            vectors.extend(block_add)
+            # translation by c*g, one lookup row per coordinate
+            cols = [[field.add(a, s) for a in range(field.q)] for s in _vec_scale(field, c, g)]
+            vectors.extend(tuple(col[a] for col, a in zip(cols, x)) for x in block)
         meter.spend(len(vectors) - len(block))
     return vectors
 
@@ -144,10 +136,12 @@ class _SupportSearch:
     u2 (the complement W, in descending-lex exponent order); for each
     pivot p the candidate list holds every codeword of w_p +
     span(wrows[p+1:], C2) as (support size, support mask, encoding),
-    sorted by (support size, encoding).
+    sorted by (support size, encoding).  Every call is charged
+    setup_states, what building them cost, so cached searches meter alike.
     """
 
     def __init__(self, c1: CartesianCode, c2: CartesianCode | None, meter: _Meter):
+        start = meter.states
         field = c1.grid.field
         u2 = -1 if c2 is None else c2.d
         self.field = field
@@ -167,6 +161,7 @@ class _SupportSearch:
                 key=lambda t: (t[0], t[2]),
             )
             self.candidates.append(cands)
+        self.setup_states = meter.states - start
 
     def row_vector(self, p: int, enc: int):
         field = self.field
@@ -175,7 +170,7 @@ class _SupportSearch:
         for j, g in enumerate(gens):
             c = (enc // self.qpow[j]) % field.q
             if c:
-                vec = _vec_add(field, vec, _vec_scale(field, c, g))
+                vec = tuple(map(field.add, vec, _vec_scale(field, c, g)))
         return vec
 
     def _echelon_ok(self, p: int, enc: int, pivots: Sequence[int]) -> bool:
@@ -234,6 +229,7 @@ def _support_search(c1, c2, meter) -> _SupportSearch:
     key = (id(c1), id(c2))
     hit = _support_cache.get(key)
     if hit is not None and hit[0] is c1 and hit[1] is c2:
+        meter.spend(hit[2].setup_states)
         return hit[2]
     search = _SupportSearch(c1, c2, meter)
     if len(_support_cache) >= 8:
@@ -323,7 +319,8 @@ class _FamiliesTable:
     For a leading exponent t, the coset {x^t + lower terms} runs over all
     coefficient choices on box exponents strictly below t in graded lex;
     masks_for(t) holds the achievable zero masks (grid positions where
-    the polynomial vanishes) with the first encoding achieving each."""
+    the polynomial vanishes) with the first encoding achieving each; a
+    cached entry charges its construction states again."""
 
     def __init__(self, grid: CartesianGrid):
         self.grid = grid
@@ -338,7 +335,9 @@ class _FamiliesTable:
     def masks_for(self, t, meter: _Meter) -> dict:
         hit = self._masks.get(t)
         if hit is not None:
-            return hit
+            meter.spend(hit[1])
+            return hit[0]
+        start = meter.states
         field = self.grid.field
         base = self.grid.monomial_values(t)
         gens = [self.grid.monomial_values(mu) for mu in self.preds(t)]
@@ -350,7 +349,7 @@ class _FamiliesTable:
                     mask |= 1 << i
             if mask not in zero_masks:
                 zero_masks[mask] = enc
-        self._masks[t] = zero_masks
+        self._masks[t] = (zero_masks, meter.states - start)
         return zero_masks
 
     def poly(self, t, enc: int) -> MultiPoly:

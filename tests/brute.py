@@ -106,3 +106,52 @@ def brute_min_support_subspaces(gen_rows, field, r, forbidden_rows=()):
         if best is None or size < best:
             best = size
     return best
+
+
+# -- GF(q) reference: base-p digit vectors, schoolbook arithmetic --------------------
+
+
+def _digits(field, a):
+    return [(a // field.p**i) % field.p for i in range(field.e)]
+
+
+def _from_digits(field, digits):
+    return sum(d * field.p**i for i, d in enumerate(digits))
+
+
+def field_add(field, a, b):
+    """Digit-wise sum mod p of the two encodings."""
+    return _from_digits(
+        field, [(x + y) % field.p for x, y in zip(_digits(field, a), _digits(field, b))]
+    )
+
+
+def field_neg(field, a):
+    return _from_digits(field, [(-x) % field.p for x in _digits(field, a)])
+
+
+def field_mul(field, a, b):
+    """Schoolbook product of the digit polynomials, then long division by
+    field.modulus (monic, degree e; empty for a prime field, where the
+    product has degree 0 and needs no division)."""
+    p, e = field.p, field.e
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(_digits(field, a)):
+        for j, y in enumerate(_digits(field, b)):
+            prod[i + j] += x * y
+    for top in range(2 * e - 2, e - 1, -1):
+        c = prod[top] % p
+        for j, m in enumerate(field.modulus):
+            prod[top - e + j] -= c * m
+    return _from_digits(field, [x % p for x in prod[:e]])
+
+
+def field_pow(field, a, n):
+    """a^n for n >= 0 by square and multiply on field_mul."""
+    result = 1
+    while n:
+        if n & 1:
+            result = field_mul(field, result, a)
+        a = field_mul(field, a, a)
+        n >>= 1
+    return result

@@ -208,11 +208,22 @@ def test_invalid_inputs_exit_2(capsys):
         ("maximal", "--q", "3", "--sizes", "2,3", "--u1", "2", "--u2", "0", "--r", "0"),
         ("maximal", "--q", "3", "--sizes", "2,2", "--u1", "1", "--u2", "-1",
          "--r", "1", "--subsets", "0,1;1,1"),
+        ("hierarchy", "--q", "3", "--sizes", "2,2", "--u1", "1", "--u2", "-1",
+         "--subsets", "0,1", "--oracle"),
+        ("hierarchy", "--q", "3", "--sizes", "2,2", "--u1", "1", "--u2", "-1",
+         "--oracle", "--budget-seconds", "-1"),
+        ("hierarchy", "--q", "3", "--sizes", "2,2", "--u1", "1", "--u2", "-1",
+         "--oracle", "--budget-states", "-5"),
+        ("hierarchy", "--q", "3", "--sizes", "2,2", "--u1", "1", "--u2", "-1",
+         "--oracle", "--budget-states", "0"),
+        ("verify", "--q-list", ""),
+        ("verify", "--max-n", "-1"),
     ]
     for argv in bad_calls:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+        assert len(err.splitlines()) == 1, argv
 
 
 def test_unsorted_sizes_warns_and_normalizes(capsys):

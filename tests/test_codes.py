@@ -68,6 +68,8 @@ def test_grid_rejections():
     with pytest.raises(ShapeMismatch):
         build_grid(F3, (2, 2), subsets=[(0, 1), (0, 5)])
     with pytest.raises(ShapeMismatch):
+        build_grid(F3, (2, 2), subsets=[(0, 1)])
+    with pytest.raises(ShapeMismatch):
         CartesianGrid(F3, BoxShape((2, 2)), [(0, 1)])
 
 

@@ -1,7 +1,31 @@
-import pytest
+import functools
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import brute
 from rghw.errors import DivisionByZero, NotAPrimePower
 from rghw.gf import Field
+
+
+def prime_powers(limit):
+    """Every prime power q <= limit, by a sieve of Eratosthenes."""
+    is_prime = [True] * (limit + 1)
+    out = []
+    for p in range(2, limit + 1):
+        if is_prime[p]:
+            for m in range(p * p, limit + 1, p):
+                is_prime[m] = False
+            q = p
+            while q <= limit:
+                out.append(q)
+                q *= p
+    return sorted(out)
+
+
+PRIME_POWERS = prime_powers(2**16)
 
 
 def test_prime_field_tables():
@@ -129,3 +153,54 @@ def test_field_equality_and_hash():
     assert Field(4) == Field(4)
     assert Field(4) != Field(5)
     assert hash(Field(9)) == hash(Field(9))
+
+
+@functools.lru_cache(maxsize=8)
+def field(q):
+    return Field(q)
+
+
+def check_against_reference(f, pairs, elements):
+    """Field arithmetic equals the schoolbook digit reference in brute.py."""
+    q = f.q
+    for a, b in pairs:
+        assert f.add(a, b) == brute.field_add(f, a, b), (q, "add", a, b)
+        assert f.mul(a, b) == brute.field_mul(f, a, b), (q, "mul", a, b)
+        assert f.sub(a, b) == brute.field_add(f, a, brute.field_neg(f, b)), (q, "sub", a, b)
+    for a in elements:
+        assert f.neg(a) == brute.field_neg(f, a), (q, "neg", a)
+        for n in (0, 1, 2, 3, q - 2, q - 1, q, 2 * q + 3):
+            assert f.pow(a, n) == brute.field_pow(f, a, n), (q, "pow", a, n)
+        if a:
+            assert brute.field_mul(f, a, f.inv(a)) == 1, (q, "inv", a)
+            assert brute.field_mul(f, f.pow(a, -3), brute.field_pow(f, a, 3)) == 1
+
+
+@pytest.mark.parametrize("q", [q for q in PRIME_POWERS if q <= 64])
+def test_arithmetic_matches_reference_exhaustive(q):
+    f = field(q)
+    check_against_reference(f, [(a, b) for a in range(q) for b in range(q)], range(q))
+
+
+@pytest.mark.parametrize("q", [81, 128, 243, 256, 257, 1024, 59049, 65521, 65536])
+def test_arithmetic_matches_reference_sampled(q):
+    f = field(q)
+    rng = random.Random(q)
+    edges = [0, 1, 2, f.p % q, q - 2, q - 1]  # f.p encodes x when e > 1
+    elements = edges + [rng.randrange(q) for _ in range(30)]
+    pairs = [(a, b) for a in edges for b in edges]
+    pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(400)]
+    check_against_reference(f, pairs, elements)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(PRIME_POWERS), st.integers(0, 2**16), st.integers(0, 2**16),
+       st.integers(0, 2**16), st.integers(-40, 2**17))
+def test_arithmetic_properties_random_fields(q, a, b, c, n):
+    f = field(q)
+    a, b, c = a % q, b % q, c % q
+    check_against_reference(f, [(a, b), (b, c)], [a])
+    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+    assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
+    if a:
+        assert f.pow(a, n) == f.mul(f.pow(a, n - 1), a)

@@ -199,6 +199,9 @@ def test_results_are_deterministic():
     a = oracle_rghw_support(c1, None, 2)
     b = oracle_rghw_support(c1, None, 2)
     assert (a.value, a.witnesses) == (b.value, b.witnesses)
+    # the second call reuses the cached set-up and is still charged for it
+    assert a.states_explored == b.states_explored
     fa = oracle_max_zeros_families(grid, DegreeBand(-1, 2), 2)
     fb = oracle_max_zeros_families(grid, DegreeBand(-1, 2), 2)
     assert fa.value == fb.value and fa.witnesses == fb.witnesses
+    assert fa.states_explored == fb.states_explored
