@@ -300,6 +300,8 @@ def cmd_verify(args) -> int:
     shapes = parse_shapes(args.shapes)
     for sizes in shapes:
         BoxShape(sizes)  # validates positivity early
+    if args.footprint < 0:
+        raise ValueError(f"footprint family count {args.footprint} is negative")
     budget = _budget(args)
     rows, summary = run_verify_grid(
         qs,
@@ -366,8 +368,6 @@ def cmd_verify(args) -> int:
 
 def _add_common(sub) -> None:
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    sub.add_argument("--budget-states", type=int, default=OracleBudget().max_states)
-    sub.add_argument("--budget-seconds", type=int, default=OracleBudget().time_cap)
 
 
 def _add_code_options(sub) -> None:
@@ -412,6 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--corrupt-formula", action="store_true", help=argparse.SUPPRESS)
     _add_common(v)
     v.set_defaults(func=cmd_verify)
+    for sub in (h, v):  # the subcommands that run an oracle
+        sub.add_argument("--budget-states", type=int, default=OracleBudget().max_states)
+        sub.add_argument("--budget-seconds", type=int, default=OracleBudget().time_cap)
     return parser
 
 

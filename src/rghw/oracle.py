@@ -8,7 +8,8 @@ with each other:
   (C1 = C2 (+) W): reduced-echelon representatives of r-dim subspaces of
   W paired with arbitrary linear maps into C2, which covers every valid
   D exactly once.  It minimizes |supp(D)| = |union of generator
-  supports| with branch-and-bound on the running support union.
+  supports| with branch-and-bound on the running support union, over
+  echelon-valid rows only (a state is one such row, plus the set-up).
 
 * oracle_rghw_window scans coordinate windows J by ascending size and
   returns the first with dim (C1)_J - dim (C2)_J = r, where (C)_J is the
@@ -32,7 +33,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from operator import getitem
 
 from .boxcomb import DegreeBand, check_band, enumerate_band
 from .codes import CartesianCode, CartesianGrid, rref
@@ -64,15 +65,15 @@ class OracleResult:
 
 
 class _Meter:
-    """Budget bookkeeping; time is polled every few thousand spends."""
+    """Budget bookkeeping; time is polled every 2048 states."""
 
-    __slots__ = ("max_states", "deadline", "states", "_tick")
+    __slots__ = ("max_states", "deadline", "states", "_next_poll")
 
     def __init__(self, budget: OracleBudget):
         self.max_states = budget.max_states
         self.deadline = time.monotonic() + budget.time_cap
         self.states = 0
-        self._tick = 0
+        self._next_poll = 2048
 
     def spend(self, k: int = 1) -> None:
         self.states += k
@@ -81,9 +82,8 @@ class _Meter:
                 f"state budget exhausted ({self.states} > {self.max_states})",
                 self.states,
             )
-        self._tick += 1
-        if self._tick >= 2048:
-            self._tick = 0
+        if self.states >= self._next_poll:
+            self._next_poll = self.states + 2048
             if time.monotonic() > self.deadline:
                 raise BudgetExceeded(
                     f"time budget exhausted after {self.states} states", self.states
@@ -103,26 +103,24 @@ def _vec_scale(field, c, x):
     return tuple(field.mul(c, a) for a in x)
 
 
-def _mask_of(vec) -> int:
-    m = 0
-    for i, v in enumerate(vec):
-        if v:
-            m |= 1 << i
-    return m
+def _mask_of(vec, bits) -> int:
+    return sum(itertools.compress(bits, vec))
 
 
 def _coset_vectors(field, base, gens, meter: _Meter) -> list:
     """base + span(gens), ordered so that the vector at index `enc` has
     generator coefficients equal to the base-q digits of enc (digit j =
-    coefficient of gens[j])."""
+    coefficient of gens[j]).  The q**len(gens) - 1 new vectors are charged
+    before any is built, so a coset over budget allocates nothing; the
+    charge is capped so that the refusal names a printable count."""
+    meter.spend(min(field.q ** len(gens) - 1, meter.max_states + 1))
     vectors = [base]
     for g in gens:
         block = list(vectors)
         for c in range(1, field.q):
             # translation by c*g, one lookup row per coordinate
             cols = [[field.add(a, s) for a in range(field.q)] for s in _vec_scale(field, c, g)]
-            vectors.extend(tuple(col[a] for col, a in zip(cols, x)) for x in block)
-        meter.spend(len(vectors) - len(block))
+            vectors.extend(tuple(map(getitem, cols, x)) for x in block)
     return vectors
 
 
@@ -135,9 +133,13 @@ class _SupportSearch:
     wrows are the generator rows of C1 whose exponents have degree above
     u2 (the complement W, in descending-lex exponent order); for each
     pivot p the candidate list holds every codeword of w_p +
-    span(wrows[p+1:], C2) as (support size, support mask, encoding),
-    sorted by (support size, encoding).  Every call is charged
-    setup_states, what building them cost, so cached searches meter alike.
+    span(wrows[p+1:], C2) as (support size, encoding << ell | W mask,
+    support mask), sorted; W mask bit j is set when wrows[p+1+j] has a
+    nonzero coefficient.  Under later pivots F the echelon-valid rows are
+    those whose W mask misses F, w_p + span(later non-pivot W rows, C2),
+    and run() visits only those (one state each).  Every call is also
+    charged setup_states, what building the lists cost, so cached
+    searches meter alike.
     """
 
     def __init__(self, c1: CartesianCode, c2: CartesianCode | None, meter: _Meter):
@@ -152,16 +154,35 @@ class _SupportSearch:
         self.g2rows = tuple(c2.G) if c2 is not None else ()
         self.ell = len(self.wrows)
         self.qpow = tuple(field.q**j for j in range(self.ell + len(self.g2rows)))
+        self.bits = tuple(1 << i for i in range(self.n))
         self.candidates = []
         for p in range(self.ell):
             gens = list(self.wrows[p + 1 :]) + list(self.g2rows)
             vecs = _coset_vectors(field, self.wrows[p], gens, meter)
-            cands = sorted(
-                (((m := _mask_of(v)).bit_count(), m, enc) for enc, v in enumerate(vecs)),
-                key=lambda t: (t[0], t[2]),
-            )
-            self.candidates.append(cands)
+            wmasks = [0]  # W mask of each W-digit encoding
+            for j in range(self.ell - p - 1):
+                wmasks += [m | 1 << j for m in wmasks] * (field.q - 1)
+            qw = len(wmasks)
+            self.candidates.append(sorted(
+                ((m := _mask_of(v, self.bits)).bit_count(), enc << self.ell | wmasks[enc % qw], m)
+                for enc, v in enumerate(vecs)
+            ))
         self.setup_states = meter.states - start
+        self._views: dict = {}
+        self._view_cap = self._view_room = sum(map(len, self.candidates))
+
+    def view(self, p: int, later: int) -> list:
+        """Candidates at pivot p whose W mask misses `later`; the cache is
+        emptied when it would outgrow the candidate lists."""
+        hit = self._views.get((p, later)) if later else self.candidates[p]
+        if hit is None:
+            hit = [c for c in self.candidates[p] if not c[1] & later]
+            if len(hit) > self._view_room:
+                self._views.clear()
+                self._view_room = self._view_cap
+            self._view_room -= len(hit)
+            self._views[p, later] = hit
+        return hit
 
     def row_vector(self, p: int, enc: int):
         field = self.field
@@ -173,18 +194,10 @@ class _SupportSearch:
                 vec = tuple(map(field.add, vec, _vec_scale(field, c, g)))
         return vec
 
-    def _echelon_ok(self, p: int, enc: int, pivots: Sequence[int]) -> bool:
-        # reduced form: zero coefficient at every later pivot's W position
-        q = self.field.q
-        for p2 in pivots:
-            if p2 > p and (enc // self.qpow[p2 - p - 1]) % q != 0:
-                return False
-        return True
-
     def run(self, r: int, meter: _Meter, prune: bool):
         # deterministic warm start: the r lowest-support W basis rows span a
         # valid D (identity echelon pattern, zero map into C2)
-        base_masks = [_mask_of(v) for v in self.wrows]
+        base_masks = [_mask_of(v, self.bits) for v in self.wrows]
         order = sorted(range(self.ell), key=lambda i: (base_masks[i].bit_count(), i))
         start = sorted(order[:r])
         union = 0
@@ -195,20 +208,24 @@ class _SupportSearch:
 
         for pivots in itertools.combinations(range(self.ell), r):
             chosen: list = []
+            pivot_mask = sum(1 << p for p in pivots)  # >> p + 1: later pivots of p
 
             def descend(depth: int, union_mask: int) -> None:
                 nonlocal best, best_rows
                 p = pivots[depth]
-                for pop, mask, enc in self.candidates[p]:
-                    meter.spend()
+                later = pivot_mask >> p + 1
+                if depth:
+                    rows = self.view(p, later)
+                else:  # passed once per combination: filtered lazily
+                    rows = (c for c in self.candidates[p] if not c[1] & later)
+                i = -1
+                for i, (pop, code, mask) in enumerate(rows):
                     if prune and pop >= best:
                         break
-                    if not self._echelon_ok(p, enc, pivots):
-                        continue
                     merged = union_mask | mask
                     if prune and merged.bit_count() >= best:
                         continue
-                    chosen.append((p, enc))
+                    chosen.append((p, code >> self.ell))
                     if depth + 1 == r:
                         total = merged.bit_count()
                         if total < best:
@@ -217,6 +234,7 @@ class _SupportSearch:
                     else:
                         descend(depth + 1, merged)
                     chosen.pop()
+                meter.spend(i + 1)
 
             descend(0, 0)
         return best, [self.row_vector(p, enc) for p, enc in best_rows]
@@ -342,11 +360,9 @@ class _FamiliesTable:
         base = self.grid.monomial_values(t)
         gens = [self.grid.monomial_values(mu) for mu in self.preds(t)]
         zero_masks: dict = {}
+        bits = tuple(1 << i for i in range(len(base)))
         for enc, vec in enumerate(_coset_vectors(field, base, gens, meter)):
-            mask = 0
-            for i, v in enumerate(vec):
-                if not v:
-                    mask |= 1 << i
+            mask = (1 << len(base)) - 1 ^ _mask_of(vec, bits)
             if mask not in zero_masks:
                 zero_masks[mask] = enc
         self._masks[t] = (zero_masks, meter.states - start)

@@ -218,12 +218,23 @@ def test_invalid_inputs_exit_2(capsys):
          "--oracle", "--budget-states", "0"),
         ("verify", "--q-list", ""),
         ("verify", "--max-n", "-1"),
+        ("verify", "--q-list", "2", "--shapes", "2", "--footprint", "-3"),
     ]
     for argv in bad_calls:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
         assert len(err.splitlines()) == 1, argv
+
+
+def test_maximal_takes_no_budget_options(capsys):
+    # maximal runs no oracle, so argparse refuses the budget options (exit 2)
+    for option in ("--budget-states", "--budget-seconds"):
+        with pytest.raises(SystemExit) as exc:
+            main(["maximal", "--q", "3", "--sizes", "2,2", "--u1", "1", "--u2", "-1",
+                  "--r", "1", option, "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_unsorted_sizes_warns_and_normalizes(capsys):

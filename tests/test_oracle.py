@@ -1,7 +1,11 @@
+import hashlib
+import tracemalloc
+
 import pytest
 
 import brute
 from rghw.boxcomb import BoxShape, DegreeBand, band_size, enumerate_band
+from rghw.cli import DEFAULT_GRID_QS, DEFAULT_GRID_SHAPES
 from rghw.codes import build_code, build_grid, membership, support_of_span
 from rghw.errors import BudgetExceeded, InvalidNesting, RankOutOfRange
 from rghw.gf import Field
@@ -118,6 +122,34 @@ def test_support_matches_subspace_enumeration():
         assert oracle_rghw_support(c1, c2, r).value == expected
 
 
+# sha256 over repr((q, sizes, u1, u2, r, value, witnesses)) of every support
+# call on the default verify grid's boxes with n <= 6, in sweep order
+SUPPORT_SWEEP_DIGEST = "293fbae6f89b0ebb55747e8617572af47a194ee9d8a5cccd53a9ec9d83b87267"
+
+
+def test_support_witnesses_pinned():
+    digest = hashlib.sha256()
+    calls = 0
+    for q in DEFAULT_GRID_QS:
+        field = Field(q)
+        for sizes in DEFAULT_GRID_SHAPES:
+            shape = BoxShape(sizes)
+            if max(sizes) > q or shape.n > 6:
+                continue
+            grid = build_grid(field, sizes)
+            codes = {u: build_code(grid, u) for u in range(shape.k + 1)}
+            for u1 in range(shape.k + 1):
+                for u2 in range(-1, u1):
+                    c2 = codes[u2] if u2 >= 0 else None
+                    for r in range(1, band_size(shape, DegreeBand(u2, u1)) + 1):
+                        res = oracle_rghw_support(codes[u1], c2, r)
+                        key = (q, sizes, u1, u2, r, res.value, res.witnesses)
+                        digest.update(repr(key).encode())
+                        calls += 1
+    assert calls == 138
+    assert digest.hexdigest() == SUPPORT_SWEEP_DIGEST
+
+
 def test_pruning_does_not_change_results():
     cases = [
         (F2, (2, 2), DegreeBand(-1, 1), 2),
@@ -145,6 +177,32 @@ def test_budget_states_exhausted():
     with pytest.raises(BudgetExceeded) as err:
         oracle_rghw_support(c1, None, 2, budget=OracleBudget(max_states=10))
     assert err.value.states_explored > 10
+
+
+def test_budget_bounds_memory():
+    # the first pivot's coset holds 4**11 vectors: refused before any is built
+    grid = build_grid(F4, (3, 4))
+    c1 = build_code(grid, 5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            oracle_rghw_support(c1, None, 1, budget=OracleBudget(max_states=10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
+def test_budget_refuses_huge_coset_with_printable_count():
+    # 65521**899 lower-term choices: the charge is capped, since Python
+    # will not print an int of more than 4300 digits
+    grid = build_grid(Field(65521), (900,))
+    with pytest.raises(BudgetExceeded) as err:
+        oracle_max_zeros_families(
+            grid, DegreeBand(898, 899), 1, budget=OracleBudget(max_states=1000)
+        )
+    assert err.value.states_explored == 1001
+    assert "(1001 > 1000)" in str(err.value)
 
 
 def test_budget_time_exhausted():
@@ -201,6 +259,8 @@ def test_results_are_deterministic():
     assert (a.value, a.witnesses) == (b.value, b.witnesses)
     # the second call reuses the cached set-up and is still charged for it
     assert a.states_explored == b.states_explored
+    # the set-up (116 states) plus the 80 echelon-valid rows visited
+    assert a.states_explored == 196
     fa = oracle_max_zeros_families(grid, DegreeBand(-1, 2), 2)
     fb = oracle_max_zeros_families(grid, DegreeBand(-1, 2), 2)
     assert fa.value == fb.value and fa.witnesses == fb.witnesses
