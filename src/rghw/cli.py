@@ -2,7 +2,8 @@
 
 All results go to stdout, diagnostics to stderr.  Every number printed
 is an exact integer.  Exit codes: 0 success, 1 verification mismatch,
-2 invalid input, 3 budget exhausted while an oracle was requested.
+2 invalid input, 3 budget exhausted while an oracle was requested,
+4 internal error (any other exception, reported on one line).
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ def run_verify_grid(
     qs,
     shapes,
     max_n: int = 9,
-    window_max_n: int = 8,
+    window_max_n: int = 9,
     budget: OracleBudget | None = None,
     corrupt: bool = False,
     attainment: bool = True,
@@ -406,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=";".join(",".join(str(s) for s in sh) for sh in DEFAULT_GRID_SHAPES),
     )
     v.add_argument("--max-n", type=int, default=9)
-    v.add_argument("--window-max-n", type=int, default=8)
+    v.add_argument("--window-max-n", type=int, default=9)
     v.add_argument("--footprint", type=int, default=0, help="random families per field")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--corrupt-formula", action="store_true", help=argparse.SUPPRESS)
@@ -429,6 +430,10 @@ def main(argv=None) -> int:
     except (RghwError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ A CartesianCode of degree bound u evaluates every monomial x^a with
 deg(a) <= u (exponents in the box) on the grid; rows of the generator
 matrix follow descending lexicographic exponent order.  Evaluation is
 injective on that monomial space, so dim = |{a : deg(a) <= u}|; this is
-asserted by row reduction at construction.
+asserted by row reduction at construction, whose RREF also gives the
+columns of a parity-check matrix (`parity_columns`).
 
 Row reduction is over the Field's int encodings; it is deliberately
 plain RREF since every matrix here is desk-scale.
@@ -175,7 +176,7 @@ def build_grid(
 class CartesianCode:
     """Evaluation code of the monomials with deg <= d on a grid."""
 
-    __slots__ = ("grid", "d", "basis", "G", "_rref", "_pivots")
+    __slots__ = ("grid", "d", "basis", "G", "parity_columns", "_rref", "_pivots")
 
     def __init__(self, grid: CartesianGrid, d: int):
         if not 0 <= d <= grid.shape.k:
@@ -190,6 +191,18 @@ class CartesianCode:
                 f"evaluation not injective on degree <= {d}: "
                 f"rank {len(self._pivots)} != {len(self.basis)} monomials"
             )
+        # columns of the parity-check matrix H = [-A^T | I] read off the RREF
+        # [I | A]: one check per non-pivot column j, 1 at j and -rref[i][j]
+        # at pivot i; n - k entries per column
+        field = grid.field
+        pivots = set(self._pivots)
+        free = [j for j in range(self.length) if j not in pivots]
+        columns = [None] * self.length
+        for t, j in enumerate(free):
+            columns[j] = tuple(int(s == t) for s in range(len(free)))
+        for row, p in zip(self._rref, self._pivots):
+            columns[p] = tuple(field.neg(row[j]) for j in free)
+        self.parity_columns = tuple(columns)
 
     @property
     def dim(self) -> int:

@@ -13,8 +13,10 @@ with each other:
 
 * oracle_rghw_window scans coordinate windows J by ascending size and
   returns the first with dim (C1)_J - dim (C2)_J = r, where (C)_J is the
-  subcode supported inside J (dimension by rank-nullity on the columns
-  outside J).
+  subcode supported inside J.  With H a parity-check matrix of C,
+  dim C_J = |J| - rank(H_J); the windows of one size are walked depth
+  first, with the parity-check columns of J pushed into semi-echelon
+  bases incrementally and popped on backtrack (a state is one window).
 
 * oracle_max_zeros_families maximizes the number of common grid zeros
   over families f_1..f_r of monic polynomials with distinct band-degree
@@ -33,10 +35,11 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from math import comb
 from operator import getitem
 
 from .boxcomb import DegreeBand, check_band, enumerate_band
-from .codes import CartesianCode, CartesianGrid, rref
+from .codes import CartesianCode, CartesianGrid
 from .errors import BudgetExceeded, InvalidBudget, InvalidNesting, RankOutOfRange
 from .polynomials import MultiPoly
 
@@ -283,16 +286,6 @@ def oracle_rghw_support(
 # -- window route -----------------------------------------------------------------
 
 
-def _window_dim(code_rows, ncols: int, window: frozenset, field) -> int:
-    """dim of the subcode supported inside `window` = k - rank(columns
-    outside the window)."""
-    outside = [j for j in range(ncols) if j not in window]
-    if not outside:
-        return len(code_rows)
-    projected = [tuple(row[j] for j in outside) for row in code_rows]
-    return len(code_rows) - len(rref(projected, field)[1])
-
-
 def oracle_rghw_window(
     c1: CartesianCode,
     c2: CartesianCode | None,
@@ -301,30 +294,82 @@ def oracle_rghw_window(
 ) -> OracleResult:
     """Smallest coordinate window J with dim (C1)_J - dim (C2)_J = r.
 
-    Scans windows by ascending size, lexicographically within a size;
-    practical for n <= 12."""
+    Scans windows by ascending size, lexicographically within a size (one
+    state each).  With H a parity-check matrix of C, dim C_J = |J| -
+    rank(H_J), so the gap is rank(H2_J) - rank(H1_J), and rank(H2_J) = |J|
+    for the zero code.  Each size is walked depth first, pushing the
+    parity-check columns of each new coordinate into semi-echelon bases
+    and popping them on backtrack, so a window costs O(1) reductions.  A
+    coordinate raises the gap by at most 1, so a subtree that cannot reach
+    r is charged its windows without reducing anything."""
     _check_pair(c1, c2)
     ell = c1.dim - (c2.dim if c2 is not None else 0)
     if not 1 <= r <= ell:
         raise RankOutOfRange(f"r = {r} outside 1..{ell}")
     meter = _Meter(budget or OracleBudget())
     field = c1.grid.field
+    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
     n = c1.length
-    g2 = tuple(c2.G) if c2 is not None else ()
-    for size in range(n + 1):
-        for window in itertools.combinations(range(n), size):
-            meter.spend()
-            wset = frozenset(window)
-            gap = _window_dim(c1.G, n, wset, field) - (
-                _window_dim(g2, n, wset, field) if g2 else 0
+    h1 = c1.parity_columns
+    h2 = c2.parity_columns if c2 is not None else None
+    # semi-echelon bases: (pivot p, row y with 0 at every earlier pivot, -1/y[p])
+    b1: list = []
+    b2: list = []
+    window: list = []
+
+    def reduce(basis: list, x):
+        for p, y, m in basis:
+            c = x[p]
+            if c:
+                c = mul(c, m)  # x - (x[p]/y[p]) y
+                x = [add(a, mul(c, b)) for a, b in zip(x, y)]
+        return x
+
+    def push(basis: list, x) -> bool:
+        x = reduce(basis, x)
+        for p, c in enumerate(x):
+            if c:
+                basis.append((p, x, neg(inv(c))))
+                return True
+        return False
+
+    def walk(start: int, left: int) -> bool:
+        """Extends `window` by `left` >= 1 coordinates from `start` on, in
+        lexicographic order; True (window kept) at the first gap of r."""
+        base = (len(window) if h2 is None else len(b2)) - len(b1)
+        if base + left < r:  # the gap grows by at most 1 a coordinate
+            # charge the subtree's windows at once, capped so that a refusal
+            # reports the state a one-by-one walk would have stopped at
+            meter.spend(min(comb(n - start, left), meter.max_states + 1 - meter.states))
+            return False
+        for j in range(start, n - left + 1):
+            window.append(j)
+            if left > 1:
+                grew1 = push(b1, h1[j])
+                grew2 = h2 is not None and push(b2, h2[j])
+                if walk(j + 1, left - 1):
+                    return True
+                if grew1:
+                    b1.pop()
+                if grew2:
+                    b2.pop()
+            else:  # a window: each rank grows by 0 or 1
+                meter.spend()
+                grow2 = h2 is None or any(reduce(b2, h2[j]))
+                if base + grow2 - any(reduce(b1, h1[j])) == r:
+                    return True
+            window.pop()
+        return False
+
+    meter.spend()  # the empty window, gap 0
+    for size in range(1, n + 1):
+        if walk(0, size):
+            return OracleResult(
+                value=size,
+                witnesses=tuple(i + 1 for i in window),
+                states_explored=meter.states,
+                method="window",
             )
-            if gap == r:
-                return OracleResult(
-                    value=size,
-                    witnesses=tuple(i + 1 for i in window),
-                    states_explored=meter.states,
-                    method="window",
-                )
     raise AssertionError(f"no window with dimension gap {r}")  # unreachable for valid r
 
 

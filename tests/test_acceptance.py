@@ -23,7 +23,7 @@ from rghw.boxcomb import (
 from rghw.cli import run_footprint_sweep, run_verify_grid
 from rghw.codes import build_code, build_grid
 from rghw.gf import Field
-from rghw.oracle import oracle_rghw_support
+from rghw.oracle import oracle_rghw_support, oracle_rghw_window
 from rghw.polynomials import common_zero_count, maximal_family
 from rghw.weights import WeightQuery, hierarchy, rghw
 
@@ -32,7 +32,15 @@ ACCEPTANCE_SHAPES = ((2,), (3,), (2, 2), (2, 3), (3, 3), (2, 2, 2))
 COMPRESSION_SHAPES = [BoxShape((2, 3)), BoxShape((3, 3)), BoxShape((2, 2, 2))]
 SWEEP_SECONDS_CAP = 600
 COMPRESSION_SECONDS_CAP = 300
+WINDOW_SECONDS_CAP = 120
 FOOTPRINT_SEED = 20260816
+
+# window-oracle grids beyond the sweep: (q, sizes, bands or None for all)
+WINDOW_GRIDS = [
+    (4, (3, 4), None),
+    (4, (4, 4), None),
+    (5, (4, 4), [DegreeBand(1, 4)]),
+]
 
 # attainment spot checks on grids beyond the oracle range, up to n = 10^4
 ATTAINMENT_SPOTS = [
@@ -107,13 +115,13 @@ def test_criterion_2_formula_matches_window_oracle(sweep, report):
     rows, _, _ = sweep
     checked = 0
     for row in rows:
-        if grid_n(row) <= 8:
+        if grid_n(row) <= 9:
             assert row["window"] is not None, row
             assert row["window"] == row["formula"], row
             checked += 1
     assert checked
     report(
-        f"[acceptance] criterion 2 formula == window oracle (n <= 8): PASS "
+        f"[acceptance] criterion 2 formula == window oracle (n <= 9): PASS "
         f"({checked} tuples)"
     )
 
@@ -286,4 +294,26 @@ def test_criterion_8_hierarchy_bounds_and_monotonicity(report):
     report(
         f"[acceptance] criterion 8 strict hierarchy bounds: PASS "
         f"({bands} bands over {len(ACCEPTANCE_SHAPES)} shapes)"
+    )
+
+
+def test_criterion_9_formula_matches_window_oracle_beyond_the_sweep(report):
+    started = time.monotonic()
+    ranks = 0
+    for q, sizes, bands in WINDOW_GRIDS:
+        grid = build_grid(Field(q), sizes)
+        shape = grid.shape
+        codes = {u: build_code(grid, u) for u in range(shape.k + 1)}
+        for band in bands or all_bands(shape):
+            c2 = codes[band.u2] if band.u2 >= 0 else None
+            for rec in hierarchy(shape, band).records:
+                result = oracle_rghw_window(codes[band.u1], c2, rec.r)
+                assert result.value == rec.m_r, (q, sizes, band, rec.r)
+                ranks += 1
+    assert ranks == 350
+    elapsed = time.monotonic() - started
+    assert elapsed < WINDOW_SECONDS_CAP
+    report(
+        f"[acceptance] criterion 9 formula == window oracle on GF(4) (3,4), "
+        f"GF(4) (4,4) and GF(5) (4,4) band (1,4]: PASS ({ranks} ranks, {elapsed:.1f}s)"
     )

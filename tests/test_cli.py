@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import rghw
+from rghw import cli
 from rghw.cli import main
 
 pytestmark = pytest.mark.usefixtures("capsys")
@@ -225,6 +226,19 @@ def test_invalid_inputs_exit_2(capsys):
         assert code == 2, argv
         assert err.startswith("error:"), argv
         assert len(err.splitlines()) == 1, argv
+
+
+def test_internal_error_exits_4(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("table slot\n  out of range")
+
+    monkeypatch.setattr(cli, "cmd_maximal", broken)
+    code, out, err = run_cli(
+        capsys, "maximal", "--q", "3", "--sizes", "2,2", "--u1", "1", "--u2", "-1", "--r", "1"
+    )
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal error: RuntimeError: table slot out of range\n"
 
 
 def test_maximal_takes_no_budget_options(capsys):

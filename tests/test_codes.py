@@ -4,6 +4,7 @@ import pytest
 
 import brute
 from rghw.boxcomb import BoxShape, DegreeBand, band_size, enumerate_band
+from rghw.cli import DEFAULT_GRID_QS, DEFAULT_GRID_SHAPES
 from rghw.codes import (
     CartesianGrid,
     build_code,
@@ -92,6 +93,32 @@ def test_code_dimensions_and_basis_order():
             assert list(code.basis) == enumerate_band(grid.shape, DegreeBand(-1, d))
             for row, exp in zip(code.G, code.basis):
                 assert row == grid.monomial_values(exp)
+
+
+def test_parity_columns_check_every_default_grid_code():
+    codes = 0
+    for q in DEFAULT_GRID_QS:
+        field = Field(q)
+        for sizes in DEFAULT_GRID_SHAPES:
+            if max(sizes) > q:
+                continue
+            grid = build_grid(field, sizes)
+            n = grid.shape.n
+            for d in range(grid.shape.k + 1):
+                code = build_code(grid, d)
+                cols = code.parity_columns
+                assert len(cols) == n
+                assert all(len(col) == n - code.dim for col in cols)
+                H = [tuple(col[i] for col in cols) for i in range(n - code.dim)]
+                for h in H:
+                    for g in code.G:
+                        total = 0
+                        for a, b in zip(h, g):
+                            total = field.add(total, field.mul(a, b))
+                        assert total == 0, (q, sizes, d)
+                assert brute.rank_gf(H, field) == n - code.dim
+                codes += 1
+    assert codes == 51
 
 
 def test_code_degree_bounds():

@@ -122,19 +122,14 @@ def test_support_matches_subspace_enumeration():
         assert oracle_rghw_support(c1, c2, r).value == expected
 
 
-# sha256 over repr((q, sizes, u1, u2, r, value, witnesses)) of every support
-# call on the default verify grid's boxes with n <= 6, in sweep order
-SUPPORT_SWEEP_DIGEST = "293fbae6f89b0ebb55747e8617572af47a194ee9d8a5cccd53a9ec9d83b87267"
-
-
-def test_support_witnesses_pinned():
-    digest = hashlib.sha256()
-    calls = 0
+def default_grid_calls(max_n):
+    """(key, c1, c2, r) for every tuple of the default verify grid's boxes
+    with n <= max_n, in sweep order; key = (q, sizes, u1, u2, r)."""
     for q in DEFAULT_GRID_QS:
         field = Field(q)
         for sizes in DEFAULT_GRID_SHAPES:
             shape = BoxShape(sizes)
-            if max(sizes) > q or shape.n > 6:
+            if max(sizes) > q or shape.n > max_n:
                 continue
             grid = build_grid(field, sizes)
             codes = {u: build_code(grid, u) for u in range(shape.k + 1)}
@@ -142,12 +137,39 @@ def test_support_witnesses_pinned():
                 for u2 in range(-1, u1):
                     c2 = codes[u2] if u2 >= 0 else None
                     for r in range(1, band_size(shape, DegreeBand(u2, u1)) + 1):
-                        res = oracle_rghw_support(codes[u1], c2, r)
-                        key = (q, sizes, u1, u2, r, res.value, res.witnesses)
-                        digest.update(repr(key).encode())
-                        calls += 1
+                        yield (q, sizes, u1, u2, r), codes[u1], c2, r
+
+
+# sha256 over repr((q, sizes, u1, u2, r, value, witnesses)) of every support
+# call on the default verify grid's boxes with n <= 6, in sweep order
+SUPPORT_SWEEP_DIGEST = "293fbae6f89b0ebb55747e8617572af47a194ee9d8a5cccd53a9ec9d83b87267"
+
+# sha256 over repr((q, sizes, u1, u2, r, value, witnesses, states_explored))
+# of every window call on the default verify grid's boxes with n <= 8, in
+# sweep order, recorded on the per-window RREF implementation
+WINDOW_SWEEP_DIGEST = "63c54bd7e58752c618f4c4df0e4a8a05fe90a6a4049abcab498b31e02c065d3f"
+
+
+def test_support_witnesses_pinned():
+    digest = hashlib.sha256()
+    calls = 0
+    for key, c1, c2, r in default_grid_calls(6):
+        res = oracle_rghw_support(c1, c2, r)
+        digest.update(repr(key + (res.value, res.witnesses)).encode())
+        calls += 1
     assert calls == 138
     assert digest.hexdigest() == SUPPORT_SWEEP_DIGEST
+
+
+def test_window_results_pinned():
+    digest = hashlib.sha256()
+    calls = 0
+    for key, c1, c2, r in default_grid_calls(8):
+        res = oracle_rghw_window(c1, c2, r)
+        digest.update(repr(key + (res.value, res.witnesses, res.states_explored)).encode())
+        calls += 1
+    assert calls == 270
+    assert digest.hexdigest() == WINDOW_SWEEP_DIGEST
 
 
 def test_pruning_does_not_change_results():
