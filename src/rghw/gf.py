@@ -105,14 +105,51 @@ def _mul_digits(a: int, b: int, p: int, e: int, modulus: tuple[int, ...]) -> int
     return sum(c * p**i for i, c in enumerate(rem))
 
 
+class PackedVectors:
+    """Vectors of GF(p^e)^n as ints with one w-bit slot per base-p digit,
+    w = p.bit_length() + 1: digit j of coordinate i sits in slot j*n + i.
+
+    A slot holds 2p - 2 plus a bias below 2^(w-1), so adding two vectors
+    is one int add, then subtracting p from every slot that reached p,
+    all slots at once.  A support mask has the top bit of slot i set when
+    coordinate i is nonzero; `full` has all n of them.
+    """
+
+    __slots__ = ("p", "e", "n", "w", "top", "bias", "ones", "full")
+
+    def __init__(self, p: int, e: int, n: int):
+        self.p, self.e, self.n = p, e, n
+        self.w = w = p.bit_length() + 1
+        unit = sum(1 << j * w for j in range(n * e))  # 1 in every slot
+        self.top = unit << w - 1
+        self.bias = ((1 << w - 1) - p) * unit  # a slot reaches its top bit iff >= p
+        self.ones = ((1 << w - 1) - 1) * unit  # ... iff >= 1
+        self.full = self.top & (1 << n * w) - 1
+
+    def pack(self, vec) -> int:
+        p, n, w = self.p, self.n, self.w
+        return sum(a // p**j % p << (j * n + i) * w for i, a in enumerate(vec) for j in range(self.e))
+
+    def translates(self, packed: list, step: int) -> list:
+        """x + step for every x in `packed`."""
+        p, top, bias, shift = self.p, self.top, self.bias, self.w - 1
+        return [(s := x + step) - p * ((s + bias & top) >> shift) for x in packed]
+
+    def supports(self, packed: list) -> list:
+        """Support mask of every vector in `packed`."""
+        nonzero = [x + self.ones & self.top for x in packed]  # top bit of every nonzero slot
+        for j in range(1, self.e):  # digit j's slots shifted onto digit 0's
+            nonzero = [t | t >> j * self.n * self.w for t in nonzero]
+        full = self.full
+        return [t & full for t in nonzero]
+
+
 def _powers(p: int, e: int, modulus: tuple[int, ...]) -> list[int]:
     """g^0 .. g^(q-2) as encodings, for g the smallest encoding >= 2 of
     multiplicative order q - 1 (g = 1 for GF(2)).
 
     Multiplication by g is GF(p)-linear, so the table of g*t over all t is
-    the span of the images g*x^j.  Spans are summed on "spread" ints that
-    give each base-p digit its own w-bit slot: an integer add, then
-    subtracting p from every slot that reached p, reduces all slots at once.
+    the span of the images g*x^j, summed as PackedVectors of length 1.
     """
     n = p**e - 1
     cofactors = [n // f for f in range(2, n + 1) if n % f == 0 and _smallest_prime_factor(f) == f]
@@ -126,13 +163,7 @@ def _powers(p: int, e: int, modulus: tuple[int, ...]) -> list[int]:
         return result
 
     g = next((c for c in range(2, n + 1) if all(power(c, k) != 1 for k in cofactors)), 1)
-    w = p.bit_length() + 1  # a slot holds 2p-2 plus a bias below 2^(w-1)
-    bias = sum(((1 << (w - 1)) - p) << (j * w) for j in range(e))
-    top_bits = sum(1 << (j * w + w - 1) for j in range(e))
-
-    def add(s: int, t: int) -> int:
-        s += t
-        return s - p * (((s + bias) & top_bits) >> (w - 1))
+    packing = PackedVectors(p, e, 1)
 
     def span(images: list[int]) -> list[int]:
         """sum_j u_j * images[j] for u = 0 .. p^e - 1, u_j the digits of u."""
@@ -140,11 +171,11 @@ def _powers(p: int, e: int, modulus: tuple[int, ...]) -> list[int]:
         for image in images:
             multiples = [0]
             for _ in range(p - 1):
-                multiples.append(add(multiples[-1], image))
-            out = [add(t, m) for m in multiples for t in out]
+                multiples += packing.translates(multiples[-1:], image)
+            out = [t for m in multiples for t in packing.translates(out, m)]
         return out
 
-    spread = span([1 << (j * w) for j in range(e)])  # spread[t] for every encoding t
+    spread = span([packing.pack((p**j,)) for j in range(e)])  # spread[t] for every encoding t
     encoding = {s: t for t, s in enumerate(spread)}
     images = [spread[_mul_digits(g, p**j, p, e, modulus)] for j in range(e)]
     times_g = [encoding[s] for s in span(images)]

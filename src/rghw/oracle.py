@@ -9,7 +9,20 @@ with each other:
   W paired with arbitrary linear maps into C2, which covers every valid
   D exactly once.  It minimizes |supp(D)| = |union of generator
   supports| with branch-and-bound on the running support union, over
-  echelon-valid rows only (a state is one such row, plus the set-up).
+  echelon-valid rows only.  Candidate rows are built as packed-int
+  cosets (gf.PackedVectors), so a translate is one int add and its
+  support mask is read off the nonzero slots.  Relative weights strictly
+  increase, M_{i} + r - i <= M_r for i < r (Luo, Mitrpant, Vinck, Chen,
+  "Some new characters on the wire-tap channel of type II", IEEE Trans.
+  Inf. Theory 51, 2005; M_0 = 0), so rank r stops at the first subspace
+  reaching that bound for the highest rank i < r already answered on
+  the pair's set-up, and i = 0 when there is none.  A full search keeps
+  the first subspace of its optimum, and that optimum is at least the
+  bound, so values and witnesses are those of a search with no bound.
+  Callers that ask a pair's ranks in ascending order (verify, and
+  hierarchy without --r) get the bound M_{r-1} + 1; a lone rank costs
+  no more than a search with no bound.  The states of a call are the set-up's (one per coset
+  translate) plus the rows rank r visited the first time it was asked.
 
 * oracle_rghw_window scans coordinate windows J by ascending size and
   returns the first with dim (C1)_J - dim (C2)_J = r, where (C)_J is the
@@ -33,14 +46,15 @@ value-preserving shortcut for reference runs on tiny inputs.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 from math import comb
-from operator import getitem
 
 from .boxcomb import DegreeBand, check_band, enumerate_band
 from .codes import CartesianCode, CartesianGrid
 from .errors import BudgetExceeded, InvalidBudget, InvalidNesting, RankOutOfRange
+from .gf import PackedVectors
 from .polynomials import MultiPoly
 
 DEFAULT_MAX_STATES = 10**8
@@ -106,32 +120,46 @@ def _vec_scale(field, c, x):
     return tuple(field.mul(c, a) for a in x)
 
 
-def _mask_of(vec, bits) -> int:
-    return sum(itertools.compress(bits, vec))
-
-
-def _coset_vectors(field, base, gens, meter: _Meter) -> list:
-    """base + span(gens), ordered so that the vector at index `enc` has
-    generator coefficients equal to the base-q digits of enc (digit j =
-    coefficient of gens[j]).  The q**len(gens) - 1 new vectors are charged
-    before any is built, so a coset over budget allocates nothing; the
-    charge is capped so that the refusal names a printable count."""
+def _coset_masks(field, packing: PackedVectors, base, gens, meter: _Meter) -> list:
+    """Support masks of base + span(gens), ordered so that the vector at
+    index `enc` has generator coefficients equal to the base-q digits of
+    enc (digit j = coefficient of gens[j]).  The q**len(gens) - 1 new
+    vectors are charged before any is built, so a coset over budget
+    allocates nothing; the charge is capped so that the refusal names a
+    printable count."""
     meter.spend(min(field.q ** len(gens) - 1, meter.max_states + 1))
-    vectors = [base]
+    vectors = [packing.pack(base)]
     for g in gens:
-        block = list(vectors)
+        block = vectors[:]
         for c in range(1, field.q):
-            # translation by c*g, one lookup row per coordinate
-            cols = [[field.add(a, s) for a in range(field.q)] for s in _vec_scale(field, c, g)]
-            vectors.extend(tuple(map(getitem, cols, x)) for x in block)
-    return vectors
+            vectors += packing.translates(block, packing.pack(_vec_scale(field, c, g)))
+    return packing.supports(vectors)
+
+
+class _LastSetUp:
+    """The most recent oracle set-up, found again by the identity of the
+    objects it was built from.  The old one is released before a new one
+    is built, so at most one is alive."""
+
+    keys: tuple = ()
+    value = None
+
+    def get(self, keys: tuple, build):
+        """(set-up, True) when `keys` are the held set-up's objects, else
+        (build(), False)."""
+        if len(keys) == len(self.keys) and all(map(operator.is_, keys, self.keys)):
+            return self.value, True
+        self.keys, self.value = (), None
+        self.value, self.keys = build(), keys
+        return self.value, False
 
 
 # -- support route ----------------------------------------------------------------
 
 
 class _SupportSearch:
-    """Per (C1, C2) precomputation for the graph enumeration.
+    """Per (C1, C2) precomputation for the graph enumeration, and the
+    relative weights it has found so far.
 
     wrows are the generator rows of C1 whose exponents have degree above
     u2 (the complement W, in descending-lex exponent order); for each
@@ -140,9 +168,12 @@ class _SupportSearch:
     support mask), sorted; W mask bit j is set when wrows[p+1+j] has a
     nonzero coefficient.  Under later pivots F the echelon-valid rows are
     those whose W mask misses F, w_p + span(later non-pivot W rows, C2),
-    and run() visits only those (one state each).  Every call is also
-    charged setup_states, what building the lists cost, so cached
-    searches meter alike.
+    and run() visits only those (one state each).
+
+    rank(r) holds each answered rank's (value, witness, run states) and
+    stops rank r at M_i + r - i, i < r the highest held rank (M_0 = 0),
+    a proven lower bound.  Every call is charged the set-up plus rank r's
+    own run states, a held rank what it cost when first asked.
     """
 
     def __init__(self, c1: CartesianCode, c2: CartesianCode | None, meter: _Meter):
@@ -150,27 +181,28 @@ class _SupportSearch:
         field = c1.grid.field
         u2 = -1 if c2 is None else c2.d
         self.field = field
-        self.n = c1.length
         self.wrows = tuple(
             row for exp, row in zip(c1.basis, c1.G) if sum(exp) > u2
         )
         self.g2rows = tuple(c2.G) if c2 is not None else ()
         self.ell = len(self.wrows)
         self.qpow = tuple(field.q**j for j in range(self.ell + len(self.g2rows)))
-        self.bits = tuple(1 << i for i in range(self.n))
+        packing = PackedVectors(field.p, field.e, c1.length)
+        self.row_masks = packing.supports([packing.pack(v) for v in self.wrows])
         self.candidates = []
         for p in range(self.ell):
             gens = list(self.wrows[p + 1 :]) + list(self.g2rows)
-            vecs = _coset_vectors(field, self.wrows[p], gens, meter)
+            masks = _coset_masks(field, packing, self.wrows[p], gens, meter)
             wmasks = [0]  # W mask of each W-digit encoding
             for j in range(self.ell - p - 1):
                 wmasks += [m | 1 << j for m in wmasks] * (field.q - 1)
             qw = len(wmasks)
             self.candidates.append(sorted(
-                ((m := _mask_of(v, self.bits)).bit_count(), enc << self.ell | wmasks[enc % qw], m)
-                for enc, v in enumerate(vecs)
+                (m.bit_count(), enc << self.ell | wmasks[enc % qw], m)
+                for enc, m in enumerate(masks)
             ))
         self.setup_states = meter.states - start
+        self.solved: dict = {}  # rank -> (value, [(pivot, encoding)], run states)
         self._views: dict = {}
         self._view_cap = self._view_room = sum(map(len, self.candidates))
 
@@ -197,10 +229,30 @@ class _SupportSearch:
                 vec = tuple(map(field.add, vec, _vec_scale(field, c, g)))
         return vec
 
-    def run(self, r: int, meter: _Meter, prune: bool):
+    def rank(self, r: int, meter: _Meter, prune: bool):
+        """(M_r, witness rows).  With pruning, rank r stops at the bound
+        its highest held rank i < r gives, M_i + r - i (M_0 = 0), and is
+        held, charged what it cost then; without, it runs alone, with no
+        bound and nothing held."""
+        if not prune:
+            value, rows = self.run(r, meter, False, 0)
+        elif r in self.solved:
+            value, rows, states = self.solved[r]
+            meter.spend(states)
+        else:
+            below = max((j for j in self.solved if j < r), default=0)
+            floor = (self.solved[below][0] if below else 0) + r - below
+            start = meter.states
+            value, rows = self.run(r, meter, True, floor)
+            self.solved[r] = (value, rows, meter.states - start)
+        return value, [self.row_vector(p, enc) for p, enc in rows]
+
+    def run(self, r: int, meter: _Meter, prune: bool, floor: int):
+        """Best (support size, [(pivot, encoding)]) of rank r, stopping at
+        the first one of size `floor`."""
         # deterministic warm start: the r lowest-support W basis rows span a
         # valid D (identity echelon pattern, zero map into C2)
-        base_masks = [_mask_of(v, self.bits) for v in self.wrows]
+        base_masks = self.row_masks
         order = sorted(range(self.ell), key=lambda i: (base_masks[i].bit_count(), i))
         start = sorted(order[:r])
         union = 0
@@ -208,13 +260,16 @@ class _SupportSearch:
             union |= base_masks[p]
         best = union.bit_count()
         best_rows = [(p, 0) for p in start]
+        if best == floor:
+            return best, best_rows
+        limit = best  # what a row must beat; 0 once best reaches floor, so every loop stops
 
         for pivots in itertools.combinations(range(self.ell), r):
             chosen: list = []
             pivot_mask = sum(1 << p for p in pivots)  # >> p + 1: later pivots of p
 
             def descend(depth: int, union_mask: int) -> None:
-                nonlocal best, best_rows
+                nonlocal best, best_rows, limit
                 p = pivots[depth]
                 later = pivot_mask >> p + 1
                 if depth:
@@ -223,40 +278,30 @@ class _SupportSearch:
                     rows = (c for c in self.candidates[p] if not c[1] & later)
                 i = -1
                 for i, (pop, code, mask) in enumerate(rows):
-                    if prune and pop >= best:
+                    if prune and pop >= limit:
                         break
                     merged = union_mask | mask
-                    if prune and merged.bit_count() >= best:
+                    if prune and merged.bit_count() >= limit:
                         continue
                     chosen.append((p, code >> self.ell))
                     if depth + 1 == r:
                         total = merged.bit_count()
-                        if total < best:
+                        if total < limit:
                             best = total
                             best_rows = list(chosen)
+                            limit = total if total > floor else 0
                     else:
                         descend(depth + 1, merged)
                     chosen.pop()
                 meter.spend(i + 1)
 
             descend(0, 0)
-        return best, [self.row_vector(p, enc) for p, enc in best_rows]
+            if not limit:
+                break
+        return best, best_rows
 
 
-_support_cache: dict = {}
-
-
-def _support_search(c1, c2, meter) -> _SupportSearch:
-    key = (id(c1), id(c2))
-    hit = _support_cache.get(key)
-    if hit is not None and hit[0] is c1 and hit[1] is c2:
-        meter.spend(hit[2].setup_states)
-        return hit[2]
-    search = _SupportSearch(c1, c2, meter)
-    if len(_support_cache) >= 8:
-        _support_cache.pop(next(iter(_support_cache)))
-    _support_cache[key] = (c1, c2, search)
-    return search
+_support_setups = _LastSetUp()
 
 
 def oracle_rghw_support(
@@ -273,8 +318,10 @@ def oracle_rghw_support(
     if not 1 <= r <= ell:
         raise RankOutOfRange(f"r = {r} outside 1..{ell}")
     meter = _Meter(budget or OracleBudget())
-    search = _support_search(c1, c2, meter)
-    value, rows = search.run(r, meter, prune)
+    search, held = _support_setups.get((c1, c2), lambda: _SupportSearch(c1, c2, meter))
+    if held:
+        meter.spend(search.setup_states)
+    value, rows = search.rank(r, meter, prune)
     return OracleResult(
         value=value,
         witnesses=tuple(rows),
@@ -382,14 +429,16 @@ class _FamiliesTable:
     For a leading exponent t, the coset {x^t + lower terms} runs over all
     coefficient choices on box exponents strictly below t in graded lex;
     masks_for(t) holds the achievable zero masks (grid positions where
-    the polynomial vanishes) with the first encoding achieving each; a
-    cached entry charges its construction states again."""
+    the polynomial vanishes, as PackedVectors support bits) with the first
+    encoding achieving each; a cached entry charges its construction
+    states again."""
 
     def __init__(self, grid: CartesianGrid):
         self.grid = grid
         shape = grid.shape
         self.glex = sorted(shape.points(), key=lambda e: (sum(e), e))
         self.glex_rank = {e: i for i, e in enumerate(self.glex)}
+        self.packing = PackedVectors(grid.field.p, grid.field.e, shape.n)
         self._masks: dict = {}
 
     def preds(self, t) -> list:
@@ -401,13 +450,12 @@ class _FamiliesTable:
             meter.spend(hit[1])
             return hit[0]
         start = meter.states
-        field = self.grid.field
         base = self.grid.monomial_values(t)
         gens = [self.grid.monomial_values(mu) for mu in self.preds(t)]
         zero_masks: dict = {}
-        bits = tuple(1 << i for i in range(len(base)))
-        for enc, vec in enumerate(_coset_vectors(field, base, gens, meter)):
-            mask = (1 << len(base)) - 1 ^ _mask_of(vec, bits)
+        full = self.packing.full
+        for enc, support in enumerate(_coset_masks(self.grid.field, self.packing, base, gens, meter)):
+            mask = full ^ support
             if mask not in zero_masks:
                 zero_masks[mask] = enc
         self._masks[t] = (zero_masks, meter.states - start)
@@ -423,19 +471,7 @@ class _FamiliesTable:
         return MultiPoly(field, self.grid.shape, terms)
 
 
-_families_cache: dict = {}
-
-
-def _families_table(grid: CartesianGrid) -> _FamiliesTable:
-    key = id(grid)
-    hit = _families_cache.get(key)
-    if hit is not None and hit[0] is grid:
-        return hit[1]
-    table = _FamiliesTable(grid)
-    if len(_families_cache) >= 8:
-        _families_cache.pop(next(iter(_families_cache)))
-    _families_cache[key] = (grid, table)
-    return table
+_families_tables = _LastSetUp()
 
 
 def _maximal_masks(masks: dict) -> list:
@@ -465,7 +501,7 @@ def oracle_max_zeros_families(
     if not 1 <= r <= len(members):
         raise RankOutOfRange(f"r = {r} outside 1..{len(members)}")
     meter = _Meter(budget or OracleBudget())
-    table = _families_table(grid)
+    table, _ = _families_tables.get((grid,), lambda: _FamiliesTable(grid))
 
     slots = []
     for t in members:
@@ -475,7 +511,7 @@ def oracle_max_zeros_families(
         else:
             slots.append(sorted(masks.items(), key=lambda kv: kv[1]))
 
-    full = (1 << grid.shape.n) - 1
+    full = table.packing.full
     best = -1
     best_pick: list = []
 

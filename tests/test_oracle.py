@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -8,15 +10,18 @@ from rghw.boxcomb import BoxShape, DegreeBand, band_size, enumerate_band
 from rghw.cli import DEFAULT_GRID_QS, DEFAULT_GRID_SHAPES
 from rghw.codes import build_code, build_grid, membership, support_of_span
 from rghw.errors import BudgetExceeded, InvalidNesting, RankOutOfRange
-from rghw.gf import Field
+from rghw.gf import Field, PackedVectors
 from rghw.oracle import (
     OracleBudget,
+    _coset_masks,
+    _Meter,
     oracle_max_zeros_families,
     oracle_rghw_support,
     oracle_rghw_window,
 )
 from rghw.polynomials import common_zero_count
 from rghw.weights import WeightQuery, rghw
+from test_gf import PRIME_POWERS
 
 F2 = Field(2)
 F3 = Field(3)
@@ -144,6 +149,10 @@ def default_grid_calls(max_n):
 # call on the default verify grid's boxes with n <= 6, in sweep order
 SUPPORT_SWEEP_DIGEST = "293fbae6f89b0ebb55747e8617572af47a194ee9d8a5cccd53a9ec9d83b87267"
 
+# the same over the boxes with n <= 9 (408 calls), recorded on the search
+# that answered each rank from scratch, before it became a rank chain
+SUPPORT_SWEEP_DIGEST_9 = "dc34ad82b68bb91efcbeb9b92ac522179ba36e92e20e2384cee785235fe69be6"
+
 # sha256 over repr((q, sizes, u1, u2, r, value, witnesses, states_explored))
 # of every window call on the default verify grid's boxes with n <= 8, in
 # sweep order, recorded on the per-window RREF implementation
@@ -159,6 +168,17 @@ def test_support_witnesses_pinned():
         calls += 1
     assert calls == 138
     assert digest.hexdigest() == SUPPORT_SWEEP_DIGEST
+
+
+def test_support_witnesses_pinned_to_nine_points():
+    digest = hashlib.sha256()
+    calls = 0
+    for key, c1, c2, r in default_grid_calls(9):
+        res = oracle_rghw_support(c1, c2, r)
+        digest.update(repr(key + (res.value, res.witnesses)).encode())
+        calls += 1
+    assert calls == 408
+    assert digest.hexdigest() == SUPPORT_SWEEP_DIGEST_9
 
 
 def test_window_results_pinned():
@@ -279,7 +299,7 @@ def test_results_are_deterministic():
     a = oracle_rghw_support(c1, None, 2)
     b = oracle_rghw_support(c1, None, 2)
     assert (a.value, a.witnesses) == (b.value, b.witnesses)
-    # the second call reuses the cached set-up and is still charged for it
+    # the second call reuses the held set-up and rank and is still charged for them
     assert a.states_explored == b.states_explored
     # the set-up (116 states) plus the 80 echelon-valid rows visited
     assert a.states_explored == 196
@@ -287,3 +307,155 @@ def test_results_are_deterministic():
     fb = oracle_max_zeros_families(grid, DegreeBand(-1, 2), 2)
     assert fa.value == fb.value and fa.witnesses == fb.witnesses
     assert fa.states_explored == fb.states_explored
+
+
+
+def test_lower_rank_bounds_the_next_frozen():
+    c1 = build_code(build_grid(F3, (2, 3)), 2)
+    # the set-up (116 states) plus the 5 rows rank 1 visits to reach M_1 = 2
+    assert oracle_rghw_support(c1, None, 1).states_explored == 121
+    # rank 2 after rank 1 stops at once: its warm start has M_1 + 1 = 3 points
+    chained = oracle_rghw_support(c1, None, 2)
+    assert (chained.value, chained.states_explored) == (3, 116)
+    # alone, rank 2 has only the bound 2 and visits 80 rows
+    assert oracle_rghw_support(build_code(c1.grid, 2), None, 2).states_explored == 196
+
+def packed_support(packing, mask, n):
+    """Coordinates whose bit is set in a PackedVectors support mask."""
+    assert mask & ~packing.full == 0
+    return {i for i in range(n) if mask >> i * packing.w + packing.w - 1 & 1}
+
+
+@pytest.mark.parametrize("q", [q for q in PRIME_POWERS if q <= 64] + [81, 243, 256, 65521, 65536])
+def test_coset_masks_match_field_arithmetic(q):
+    # GF(8) and GF(27) have three digits a coordinate, GF(16) and GF(64) more:
+    # a coordinate's digit slots must not leak into the next coordinate
+    field = Field(q)
+    rng = random.Random(q)
+    n = 5 if q <= 64 else 3
+
+    def vector():
+        return tuple(rng.choice((0, 0, 1, rng.randrange(q))) for _ in range(n))
+
+    packing = PackedVectors(field.p, field.e, n)
+    trials = 3 if q <= 64 else 1
+    for _ in range(trials):
+        # q <= 64: every vector of a 2-generator coset; above: the
+        # translates by one generator that zero a coordinate, and a sample
+        base, gens = vector(), [vector() for _ in range(2 if q <= 64 else 1)]
+        masks = _coset_masks(field, packing, base, gens, _Meter(OracleBudget()))
+        assert len(masks) == q ** len(gens)
+        encs = range(len(masks))
+        if q > 64:
+            encs = [field.mul(field.neg(a), field.inv(b)) for a, b in zip(base, gens[0]) if b]
+            encs += rng.sample(range(q), min(q, 256))
+        for enc in encs:
+            mask = masks[enc]
+            vec = base
+            for j, g in enumerate(gens):
+                c = enc // q**j % q
+                vec = tuple(field.add(a, field.mul(c, b)) for a, b in zip(vec, g))
+            assert packed_support(packing, mask, n) == {i for i, a in enumerate(vec) if a}
+
+
+def chain_pairs(field, sizes):
+    grid = build_grid(field, sizes)
+    shape = grid.shape
+    for u1 in range(shape.k + 1):
+        for u2 in range(-1, u1):
+            yield grid, u1, u2, band_size(shape, DegreeBand(u2, u1))
+
+
+def fresh_pair(grid, u1, u2):
+    return build_code(grid, u1), build_code(grid, u2) if u2 >= 0 else None
+
+
+def ascending(c1, c2, r, budget=None):
+    """Rank r of a pair asked, under `budget`, after its ranks 1..r-1 were
+    answered, as verify asks it."""
+    for lower in range(1, r):
+        oracle_rghw_support(c1, c2, lower)
+    return oracle_rghw_support(c1, c2, r, budget)
+
+
+@pytest.mark.parametrize("field, sizes", [(F3, (2, 3)), (F4, (2, 2, 2))], ids=str)
+def test_rank_counts_repeat_cold_warm_and_after_eviction(field, sizes):
+    # a lone rank and a rank asked after its lower ranks each report the
+    # same count cold, warm and after another pair evicted the set-up; the
+    # lower ranks' bound only ever shortens the search
+    other = fresh_pair(build_grid(F2, (2,)), 1, -1)
+    for grid, u1, u2, ell in chain_pairs(field, sizes):
+        for r in range(1, ell + 1):
+            c1, c2 = fresh_pair(grid, u1, u2)
+            lone = oracle_rghw_support(c1, c2, r)
+            assert oracle_rghw_support(c1, c2, r) == lone
+            oracle_rghw_support(*other, 1)
+            assert oracle_rghw_support(c1, c2, r) == lone
+            c1, c2 = fresh_pair(grid, u1, u2)
+            chained = ascending(c1, c2, r)
+            assert oracle_rghw_support(c1, c2, r) == chained
+            oracle_rghw_support(*other, 1)
+            assert ascending(c1, c2, r) == chained
+            assert (chained.value, chained.witnesses) == (lone.value, lone.witnesses)
+            assert chained.states_explored <= lone.states_explored
+            if r == 1:
+                assert chained == lone
+
+
+@pytest.mark.parametrize("field, sizes", [(F3, (2, 3)), (F4, (2, 2, 2))], ids=str)
+def test_rank_answers_do_not_depend_on_order(field, sizes):
+    # odd ranks first, then even ones: rank r is bounded through a held
+    # rank i < r - 1 as well as through r - 1; a cold rank has only r
+    for grid, u1, u2, ell in chain_pairs(field, sizes):
+        lone = [oracle_rghw_support(*fresh_pair(grid, u1, u2), r) for r in range(1, ell + 1)]
+        c1, c2 = fresh_pair(grid, u1, u2)
+        for r in list(range(1, ell + 1, 2)) + list(range(2, ell + 1, 2)):
+            res = oracle_rghw_support(c1, c2, r)
+            want = lone[r - 1]
+            assert (res.value, res.witnesses) == (want.value, want.witnesses), (sizes, u1, u2, r)
+
+
+@pytest.mark.parametrize("field, sizes", [(F3, (2, 3)), (F4, (2, 2, 2))], ids=str)
+def test_rank_budget_parity(field, sizes):
+    # a cap admits a call cold, warm and after a refusal alike, or refuses
+    # all; a cap that admits a lone rank admits it after its lower ranks
+    def capped(ask, c1, c2, r, cap):
+        try:
+            return ask(c1, c2, r, OracleBudget(max_states=cap))
+        except BudgetExceeded:
+            return None
+
+    for grid, u1, u2, ell in chain_pairs(field, sizes):
+        for r in range(1, ell + 1):
+            for ask in (oracle_rghw_support, ascending):
+                c1, c2 = fresh_pair(grid, u1, u2)
+                full = ask(c1, c2, r)
+                states = full.states_explored
+                caps = sorted({1, states // 2, states - 1, states} - {0})
+                warm = [capped(ask, c1, c2, r, cap) for cap in caps]
+                for cap, held in zip(caps, warm):
+                    pair = fresh_pair(grid, u1, u2)
+                    cold = capped(ask, *pair, r, cap)
+                    again = capped(ask, *pair, r, cap)
+                    assert cold == held == again, (sizes, u1, u2, r, cap)
+                    assert cold == (full if cap >= states else None)
+                    if ask is oracle_rghw_support and cold is not None:
+                        assert capped(ascending, *fresh_pair(grid, u1, u2), r, cap) is not None
+
+
+def test_support_set_up_is_released():
+    # GF(4) (2,2,2), u1 = 3: 16,384 candidates at the first pivot; a query on
+    # another pair must free that set-up, so at most one is held
+    big = build_code(build_grid(F4, (2, 2, 2)), 3)
+    small = build_code(build_grid(F2, (2,)), 1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        oracle_rghw_support(big, None, 1)
+        held = tracemalloc.get_traced_memory()[0] - start
+        oracle_rghw_support(small, None, 1)
+        after = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held > 2 * 2**20
+    assert after < held // 20
