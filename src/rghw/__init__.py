@@ -9,18 +9,13 @@ from .boxcomb import (
     BoxShape,
     DegreeBand,
     band_size,
-    cmp_lex,
     cmp_partial,
     degree,
     enumerate_band,
     footprint,
-    footprint_slice,
-    lex_prefix_of_slice,
     lex_rank_in_leq,
     nth_band_element,
     shadow,
-    shadow_card_of_leq_prefix,
-    shadow_slice,
 )
 from .codes import (
     CartesianCode,
@@ -32,7 +27,6 @@ from .codes import (
 )
 from .errors import (
     BudgetExceeded,
-    CountOutOfRange,
     DegreeOutOfRange,
     DegreeTooHigh,
     DivisionByZero,
@@ -65,6 +59,14 @@ from .polynomials import (
     make_maximal_poly,
     maximal_family,
 )
-from .weights import WeightQuery, WeightRecord, WeightReport, hierarchy, max_zeros, rghw
+from .weights import (
+    WeightQuery,
+    WeightRecord,
+    WeightReport,
+    hierarchy,
+    iter_hierarchy,
+    max_zeros,
+    rghw,
+)
 
 __version__ = "0.1.0"

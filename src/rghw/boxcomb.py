@@ -11,20 +11,20 @@ points with u2 < deg(a) <= u1; bands must be nonempty as intervals
 
 The shadow of a set S is its upward closure under the partial order;
 the footprint is the complement of the shadow in the box.  Ranking and
-unranking inside bands is done by digit-by-digit counting against
-suffix-box degree histograms, so ranks are reachable without ever
-enumerating the box.
+unranking inside bands count digit by digit against one table per shape
+of second-order degree sums, so ranks are reachable without ever
+enumerating the box: unranking costs O(m log max(d)), ranking O(m).
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import (
-    CountOutOfRange,
     DegreeTooHigh,
     InvalidBand,
     RankOutOfRange,
@@ -74,7 +74,7 @@ class BoxShape:
         return sum(self.d) - self.m
 
     def contains(self, a: BoxPoint) -> bool:
-        return len(a) == self.m and all(0 <= a[i] < self.d[i] for i in range(self.m))
+        return len(a) == len(self.d) and all(0 <= x < s for x, s in zip(a, self.d))
 
     def require_point(self, a: BoxPoint) -> None:
         if not self.contains(a):
@@ -132,17 +132,9 @@ def degree(a: BoxPoint) -> int:
     return sum(a)
 
 
-def cmp_lex(a: BoxPoint, b: BoxPoint) -> int:
-    """-1, 0 or 1 as a is lexicographically below, equal to, or above b."""
-    if len(a) != len(b):
-        raise ShapeMismatch(f"points {a!r} and {b!r} have different arity")
-    if a == b:
-        return 0
-    return -1 if a < b else 1
-
-
 def cmp_partial(a: BoxPoint, b: BoxPoint) -> int | None:
-    """Coordinatewise comparison: -1/0/1 like cmp_lex, None if incomparable."""
+    """Coordinatewise comparison: -1, 0 or 1 as a is below, equal to or
+    above b in every coordinate, None if incomparable."""
     if len(a) != len(b):
         raise ShapeMismatch(f"points {a!r} and {b!r} have different arity")
     le = all(x <= y for x, y in zip(a, b))
@@ -160,43 +152,42 @@ def cmp_partial(a: BoxPoint, b: BoxPoint) -> int | None:
 
 
 @lru_cache(maxsize=None)
-def _suffix_cums(d: tuple) -> tuple:
-    """For each suffix box d[i:], the cumulative degree counts.
+def _sum_tables(d: tuple) -> tuple:
+    """Second-order degree sums of the box over d[i+1:], for each i.
 
-    Entry i is a tuple C with C[t] = number of points of the box over
-    d[i:] having degree <= t, 0 <= t <= sum(d[j]-1, j >= i).  The last
-    entry (empty box) is (1,).  Each convolution with the uniform degree
-    histogram of one coordinate is a sliding-window sum over the previous
-    prefix sums, so the whole table costs O(m * k), never O(m * k * d).
+    With C(t) the box's number of points of degree <= t, entry i is the
+    tuple S with S[t] = C(0) + ... + C(t) up to one past the box's top
+    degree, where C reaches the point count and S goes on linearly
+    (`_sum`).  A box's C is two sums of the box after it, C(t) =
+    S'(t) - S'(t - d_i), so building costs O(m * k) and no C is kept.
     """
-    cums = [None] * (len(d) + 1)
-    hist = [1]
-    cums[len(d)] = (1,)
-    for i in range(len(d) - 1, -1, -1):
-        prefix = list(itertools.accumulate(hist))
-        total = prefix[-1]
-        hist = [
-            (prefix[t] if t < len(prefix) else total)
-            - (prefix[t - d[i]] if t >= d[i] else 0)
-            for t in range(len(prefix) + d[i] - 1)
-        ]
-        cums[i] = tuple(itertools.accumulate(hist))
-    return tuple(cums)
+    tables = [(1, 2)]  # the empty box: C(t) = 1 for every t >= 0
+    for side in reversed(d[1:]):
+        prev = tables[-1]
+        step = prev[-1] - prev[-2]
+        ext = list(prev) + [prev[-1] + j * step for j in range(1, side)]
+        cum = [ext[t] - (ext[t - side] if t >= side else 0) for t in range(len(ext))]
+        tables.append(tuple(itertools.accumulate(cum)))
+    return tuple(reversed(tables))
 
 
-def _count_leq(shape: BoxShape, i: int, t: int) -> int:
-    """Number of points of the suffix box d[i:] with degree <= t."""
-    cum = _suffix_cums(shape.d)[i]
+def _sum(tab: tuple, t: int) -> int:
+    """S(t) of one table: 0 below degree 0, linear past the table's end."""
     if t < 0:
         return 0
-    if t >= len(cum):
-        return cum[-1]
-    return cum[t]
+    top = len(tab) - 1
+    if t <= top:
+        return tab[t]
+    return tab[top] + (t - top) * (tab[top] - tab[top - 1])
 
 
 def band_size(shape: BoxShape, band: DegreeBand) -> int:
     check_band(shape, band)
-    return _count_leq(shape, 0, band.u1) - _count_leq(shape, 0, band.u2)
+    tab, side = _sum_tables(shape.d)[0], shape.d[0]
+    return (
+        _sum(tab, band.u1) - _sum(tab, band.u1 - side)
+        - _sum(tab, band.u2) + _sum(tab, band.u2 - side)
+    )
 
 
 def enumerate_band(shape: BoxShape, band: DegreeBand) -> list[BoxPoint]:
@@ -209,38 +200,48 @@ def enumerate_band(shape: BoxShape, band: DegreeBand) -> list[BoxPoint]:
 
 def nth_band_element(shape: BoxShape, band: DegreeBand, r: int) -> BoxPoint:
     """The r-th member (1-based) of the band in descending lexicographic
-    order, found by digit-by-digit counting: no enumeration, so ranks deep
-    inside large boxes cost O(m * max(d))."""
+    order, digit by digit without enumeration, in O(m log max(d)).
+
+    With the prefix fixed and (lo, hi] the degrees left for the rest, the
+    band points whose next digit is >= v number F(v) - F(d_i), where
+    F(v) = S(hi - v) - S(lo - v) on the table of the box after the digit.
+    F does not increase with v, so the digit, the largest v with
+    F(v) - F(d_i) >= r, is a bisection.
+    """
     size = band_size(shape, band)
     if not 1 <= r <= size:
         raise RankOutOfRange(f"r = {r} outside 1..{size} for band {band} in box {shape.d}")
     lo, hi = band.u2, band.u1
     out = []
-    rem = r
-    for i in range(shape.m):
-        for v in range(shape.d[i] - 1, -1, -1):
-            cnt = _count_leq(shape, i + 1, hi - v) - _count_leq(shape, i + 1, lo - v)
-            if rem > cnt:
-                rem -= cnt
-                continue
-            out.append(v)
-            lo -= v
-            hi -= v
-            break
+    for tab, side in zip(_sum_tables(shape.d), shape.d):
+        target = r + _sum(tab, hi - side) - _sum(tab, lo - side)
+        v = bisect_right(
+            range(side), -target, key=lambda v: _sum(tab, lo - v) - _sum(tab, hi - v)
+        ) - 1
+        r = target - _sum(tab, hi - v - 1) + _sum(tab, lo - v - 1)
+        out.append(v)
+        lo -= v
+        hi -= v
     return tuple(out)
 
 
 def lex_rank_in_leq(shape: BoxShape, u1: int, a: BoxPoint) -> int:
-    """1-based rank of a within {deg <= u1} in descending lexicographic order."""
+    """1-based rank of a within {deg <= u1} in descending lexicographic
+    order, in O(m): the points above a that share its first i digits and
+    exceed it at digit i are two lookups in the table after digit i."""
     shape.require_point(a)
     if sum(a) > u1:
         raise DegreeTooHigh(f"deg{a!r} = {sum(a)} > u1 = {u1}")
+    return _rank_in_leq(shape.d, u1, a)
+
+
+def _rank_in_leq(d: tuple, u1: int, a: BoxPoint) -> int:
+    """`lex_rank_in_leq` of a point the caller knows is in the box and of degree <= u1."""
     above = 0
-    prefix_deg = 0
-    for i in range(shape.m):
-        for v in range(a[i] + 1, shape.d[i]):
-            above += _count_leq(shape, i + 1, u1 - prefix_deg - v)
-        prefix_deg += a[i]
+    for tab, side, x in zip(_sum_tables(d), d, a):
+        if x + 1 < side:
+            above += _sum(tab, u1 - x - 1) - _sum(tab, u1 - side)
+        u1 -= x
     return above + 1
 
 
@@ -272,30 +273,3 @@ def footprint(shape: BoxShape, points: Iterable[BoxPoint]) -> set:
     """Box points not dominating any member of `points`."""
     shd = shadow(shape, points)
     return {a for a in shape.points() if a not in shd}
-
-
-def shadow_slice(shape: BoxShape, points: Iterable[BoxPoint], u: int) -> set:
-    """Degree-u part of the shadow; empty beyond the box degrees."""
-    return {a for a in shadow(shape, points) if sum(a) == u}
-
-
-def footprint_slice(shape: BoxShape, points: Iterable[BoxPoint], u: int) -> set:
-    if u < 0 or u > shape.k:
-        return set()
-    shd = shadow(shape, points)
-    return {a for a in shape.points() if sum(a) == u and a not in shd}
-
-
-def lex_prefix_of_slice(shape: BoxShape, u: int, count: int) -> list[BoxPoint]:
-    """First `count` members of the degree-u slice, descending lexicographic."""
-    members = enumerate_band(shape, DegreeBand(u - 1, u))
-    if count < 0 or count > len(members):
-        raise CountOutOfRange(f"count = {count} outside 0..{len(members)} for slice deg = {u}")
-    return members[:count]
-
-
-def shadow_card_of_leq_prefix(shape: BoxShape, deg_bound: int, r: int) -> int:
-    """|shadow of the first r elements of {deg <= deg_bound} desc-lex|,
-    by the closed formula n - encode(a_r)."""
-    a_r = nth_band_element(shape, DegreeBand(-1, deg_bound), r)
-    return shape.n - shape.encode(a_r)

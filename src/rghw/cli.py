@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import sys
 from random import Random
@@ -22,7 +21,7 @@ from .errors import BudgetExceeded, RghwError
 from .gf import Field
 from .oracle import OracleBudget, oracle_rghw_support, oracle_rghw_window
 from .polynomials import common_zero_count, footprint_count, maximal_family, random_poly
-from .weights import WeightQuery, hierarchy, rghw
+from .weights import WeightQuery, iter_hierarchy, rghw
 
 DEFAULT_GRID_QS = (2, 3, 4)
 DEFAULT_GRID_SHAPES = ((2,), (3,), (2, 2), (2, 3), (3, 3), (2, 2, 2))
@@ -58,11 +57,9 @@ def _budget(args) -> OracleBudget:
 
 
 def _emit_csv(header, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
 
 
 def hierarchy_json_obj(q: int, shape: BoxShape, band: DegreeBand, records) -> dict:
@@ -82,13 +79,14 @@ def hierarchy_json_obj(q: int, shape: BoxShape, band: DegreeBand, records) -> di
     }
 
 
-def _print_hierarchy(q, shape, band, records, fmt) -> None:
+def _print_hierarchy(q, shape, band, records, fmt, oracle) -> None:
+    """Text and CSV rows print as `records` yields them; JSON is built whole."""
     if fmt == "json":
         print(json.dumps(hierarchy_json_obj(q, shape, band, records), indent=2))
     elif fmt == "csv":
         _emit_csv(
             ["r", "a_r", "s", "M_r", "max_zeros", "oracle"],
-            [
+            (
                 [
                     rec.r,
                     " ".join(str(x) for x in rec.a_r),
@@ -98,15 +96,14 @@ def _print_hierarchy(q, shape, band, records, fmt) -> None:
                     "" if rec.oracle is None else rec.oracle,
                 ]
                 for rec in records
-            ],
+            ),
         )
     else:
         print(f"q={q} sizes={list(shape.d)} u1={band.u1} u2={band.u2}")
-        cols = "r a_r s M_r max_zeros" + (" oracle" if any(r.oracle is not None for r in records) else "")
-        print(cols)
+        print("r a_r s M_r max_zeros" + (" oracle" if oracle else ""))
         for rec in records:
             row = f"{rec.r} {rec.a_r} {rec.s} {rec.m_r} {rec.max_zeros}"
-            if rec.oracle is not None:
+            if oracle:
                 row += f" {rec.oracle}"
             print(row)
 
@@ -125,7 +122,7 @@ def cmd_hierarchy(args) -> int:
     if args.r is not None:
         records = [rghw(WeightQuery(shape, band, args.r))]
     else:
-        records = list(hierarchy(shape, band).records)
+        records = iter_hierarchy(shape, band)
     if args.oracle:
         grid = build_grid(field, sizes, subsets=subsets, policy=args.policy)
         c1 = build_code(grid, band.u1)
@@ -135,7 +132,7 @@ def cmd_hierarchy(args) -> int:
             dataclasses.replace(rec, oracle=oracle_rghw_support(c1, c2, rec.r, budget).value)
             for rec in records
         ]
-    _print_hierarchy(q, shape, band, records, args.format)
+    _print_hierarchy(q, shape, band, records, args.format, args.oracle)
     return 0
 
 

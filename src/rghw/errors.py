@@ -37,10 +37,6 @@ class DegreeTooHigh(RghwError):
     """Point degree exceeds the degree bound of the enclosing set."""
 
 
-class CountOutOfRange(RghwError):
-    """Requested prefix length exceeds the slice size."""
-
-
 class SubsetTooLarge(RghwError):
     """Requested coordinate subset size exceeds the field order."""
 

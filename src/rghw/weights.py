@@ -16,13 +16,14 @@ combinatorics: no field, no grid, no enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .boxcomb import (
     BoxShape,
     DegreeBand,
+    _rank_in_leq,
     band_size,
     check_band,
-    lex_rank_in_leq,
     nth_band_element,
 )
 from .errors import RankOutOfRange
@@ -35,7 +36,6 @@ class WeightQuery:
     r: int
 
     def __post_init__(self):
-        check_band(self.shape, self.band)
         size = band_size(self.shape, self.band)
         if not 1 <= self.r <= size:
             raise RankOutOfRange(
@@ -64,20 +64,51 @@ class WeightReport:
     records: tuple
 
 
+def _record(shape: BoxShape, u1: int, r: int, a_r: tuple) -> WeightRecord:
+    s = _rank_in_leq(shape.d, u1, a_r)
+    n = shape.n
+    m_r = n - shape.encode(a_r) - s + r
+    return WeightRecord(r=r, a_r=a_r, s=s, m_r=m_r, max_zeros=n - m_r)
+
+
 def rghw(query: WeightQuery) -> WeightRecord:
     shape, band, r = query.shape, query.band, query.r
-    a_r = nth_band_element(shape, band, r)
-    s = lex_rank_in_leq(shape, band.u1, a_r)
-    m_r = shape.n - shape.encode(a_r) - s + r
-    return WeightRecord(r=r, a_r=a_r, s=s, m_r=m_r, max_zeros=shape.n - m_r)
+    return _record(shape, band.u1, r, nth_band_element(shape, band, r))
 
 
 def max_zeros(query: WeightQuery) -> int:
     return rghw(query).max_zeros
 
 
+def iter_hierarchy(shape: BoxShape, band: DegreeBand) -> Iterator[WeightRecord]:
+    """The records r = 1, 2, ..., l one at a time, holding none of them.
+
+    The band is walked in descending lexicographic order by successor:
+    the rightmost digit that can drop by one and still leave degree
+    above u2 for the digits after it drops, and those digits refill
+    greedily up to u1.  A step costs O(m), and so does each rank s.
+    """
+    check_band(shape, band)
+    d, u2, u1 = shape.d, band.u2, band.u1
+    top_degree_after = [sum(d[i + 1 :]) - len(d[i + 1 :]) for i in range(len(d))]
+    a = [0] * len(d)
+    i, prefix, r = -1, 0, 1
+    while True:
+        for j in range(i + 1, len(d)):
+            a[j] = min(d[j] - 1, u1 - prefix)
+            prefix += a[j]
+        yield _record(shape, u1, r, tuple(a))
+        for i in range(len(d) - 1, -1, -1):
+            prefix -= a[i]
+            if a[i] and prefix + a[i] - 1 + top_degree_after[i] > u2:
+                break
+        else:
+            return
+        a[i] -= 1
+        prefix += a[i]
+        r += 1
+
+
 def hierarchy(shape: BoxShape, band: DegreeBand) -> WeightReport:
     """All l = band_size records, r = 1..l."""
-    size = band_size(shape, band)
-    records = tuple(rghw(WeightQuery(shape, band, r)) for r in range(1, size + 1))
-    return WeightReport(shape=shape, band=band, records=records)
+    return WeightReport(shape=shape, band=band, records=tuple(iter_hierarchy(shape, band)))

@@ -3,12 +3,22 @@
 Everything here recomputes expected values from definitions, sharing no
 algorithmic shortcuts with the package: shadows by domination scans,
 ranks by sorting full enumerations, subspace minima by enumerating all
-coefficient matrices.  Slow on purpose; only run on tiny inputs.
+coefficient matrices.  Slow on purpose; only run on tiny inputs.  Two
+parts differ: the inclusion-exclusion band counts reach huge boxes in
+closed form (and still share nothing with the package's rank tables),
+and the slice helpers at the end, which the shadow-compression tests
+use, are built on the package's own `shadow`, `enumerate_band` and
+`nth_band_element`.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from math import comb, prod
+
+from rghw.boxcomb import DegreeBand, enumerate_band, nth_band_element, shadow
+from rghw.errors import ShapeMismatch
 
 
 def box_points(d):
@@ -33,6 +43,45 @@ def brute_footprint(d, pts):
 def brute_band(d, u2, u1):
     """Band members in descending lexicographic order."""
     return sorted((a for a in box_points(d) if u2 < sum(a) <= u1), reverse=True)
+
+
+# -- band counts by inclusion-exclusion -------------------------------------------
+
+
+def ie_count_leq(sides, t):
+    """Points of the box over `sides` with degree <= t.
+
+    The orthant has C(t + m, m) points of degree <= t; inclusion-exclusion
+    takes out those with some coordinate at or past its side.  Equal sides
+    are grouped, so (2,)*40 costs 41 terms and not 2**40.
+    """
+    if t < 0:
+        return 0
+    m = len(sides)
+    groups = sorted(Counter(sides).items())
+    total = 0
+    for picks in itertools.product(*(range(mult + 1) for _, mult in groups)):
+        cut = sum(j * side for j, (side, _) in zip(picks, groups))
+        if cut <= t:
+            ways = prod(comb(mult, j) for j, (_, mult) in zip(picks, groups))
+            total += (-1) ** sum(picks) * ways * comb(t - cut + m, m)
+    return total
+
+
+def ie_rank(sides, u2, u1, a):
+    """1-based descending-lex rank of a among the points with u2 < deg <= u1.
+
+    A point above a agrees with it before some coordinate i and exceeds a_i
+    there; shifting coordinate i down by a_i + 1 makes each such set a
+    band of the box (side_i - a_i - 1, sides after i)."""
+    above = 0
+    prefix = 0
+    for i, (side, x) in enumerate(zip(sides, a)):
+        shift = prefix + x + 1
+        rest = (side - x - 1,) + tuple(sides[i + 1 :])
+        above += ie_count_leq(rest, u1 - shift) - ie_count_leq(rest, u2 - shift)
+        prefix += x
+    return above + 1
 
 
 def brute_eval(field, terms, point):
@@ -155,3 +204,46 @@ def field_pow(field, a, n):
         a = field_mul(field, a, a)
         n >>= 1
     return result
+
+
+# -- slice helpers ------------------------------------------------------------------
+
+
+class CountOutOfRange(ValueError):
+    """Requested prefix length exceeds the slice size."""
+
+
+def cmp_lex(a, b):
+    """-1, 0 or 1 as a is lexicographically below, equal to, or above b."""
+    if len(a) != len(b):
+        raise ShapeMismatch(f"points {a!r} and {b!r} have different arity")
+    if a == b:
+        return 0
+    return -1 if a < b else 1
+
+
+def shadow_slice(shape, points, u):
+    """Degree-u part of the shadow; empty beyond the box degrees."""
+    return {a for a in shadow(shape, points) if sum(a) == u}
+
+
+def footprint_slice(shape, points, u):
+    if u < 0 or u > shape.k:
+        return set()
+    shd = shadow(shape, points)
+    return {a for a in shape.points() if sum(a) == u and a not in shd}
+
+
+def lex_prefix_of_slice(shape, u, count):
+    """First `count` members of the degree-u slice, descending lexicographic."""
+    members = enumerate_band(shape, DegreeBand(u - 1, u))
+    if count < 0 or count > len(members):
+        raise CountOutOfRange(f"count = {count} outside 0..{len(members)} for slice deg = {u}")
+    return members[:count]
+
+
+def shadow_card_of_leq_prefix(shape, deg_bound, r):
+    """|shadow of the first r elements of {deg <= deg_bound} desc-lex|,
+    by the closed formula n - encode(a_r)."""
+    a_r = nth_band_element(shape, DegreeBand(-1, deg_bound), r)
+    return shape.n - shape.encode(a_r)

@@ -10,22 +10,21 @@ import time
 
 import pytest
 
+from brute import lex_prefix_of_slice, shadow_slice
 from rghw.boxcomb import (
     BoxShape,
     DegreeBand,
     band_size,
     cmp_partial,
     enumerate_band,
-    lex_prefix_of_slice,
     shadow,
-    shadow_slice,
 )
 from rghw.cli import run_footprint_sweep, run_verify_grid
 from rghw.codes import build_code, build_grid
 from rghw.gf import Field
 from rghw.oracle import oracle_rghw_support, oracle_rghw_window
 from rghw.polynomials import common_zero_count, maximal_family
-from rghw.weights import WeightQuery, hierarchy, rghw
+from rghw.weights import WeightQuery, hierarchy, iter_hierarchy, rghw
 
 ACCEPTANCE_QS = (2, 3, 4)
 ACCEPTANCE_SHAPES = ((2,), (3,), (2, 2), (2, 3), (3, 3), (2, 2, 2))
@@ -33,6 +32,7 @@ COMPRESSION_SHAPES = [BoxShape((2, 3)), BoxShape((3, 3)), BoxShape((2, 2, 2))]
 SWEEP_SECONDS_CAP = 600
 COMPRESSION_SECONDS_CAP = 300
 WINDOW_SECONDS_CAP = 120
+WEI_SECONDS_CAP = 60
 FOOTPRINT_SEED = 20260816
 
 # window-oracle grids beyond the sweep: (q, sizes, bands or None for all)
@@ -40,6 +40,17 @@ WINDOW_GRIDS = [
     (4, (3, 4), None),
     (4, (4, 4), None),
     (5, (4, 4), [DegreeBand(1, 4)]),
+]
+
+# Wei duality boxes: (sizes, the u to check, or None for every u)
+WEI_BOXES = [
+    ((2, 3), None),
+    ((3, 3), None),
+    ((4, 4), None),
+    ((2, 2, 3), None),
+    ((3, 5, 6), None),
+    ((2,) * 12, None),
+    ((100, 100), (0, 1, 50, 99, 100, 150, 197)),
 ]
 
 # attainment spot checks on grids beyond the oracle range, up to n = 10^4
@@ -316,4 +327,26 @@ def test_criterion_9_formula_matches_window_oracle_beyond_the_sweep(report):
     report(
         f"[acceptance] criterion 9 formula == window oracle on GF(4) (3,4), "
         f"GF(4) (4,4) and GF(5) (4,4) band (1,4]: PASS ({ranks} ranks, {elapsed:.1f}s)"
+    )
+
+
+def test_criterion_10_wei_duality_partitions_the_positions(report):
+    # C(u)^perp is a coordinate scaling of C(k-1-u), which keeps supports, and
+    # Wei's duality (IEEE T-IT 1991) says {d_r(C)} and {n+1-d_r(C^perp)}
+    # partition {1..n}: no oracle, so it reaches n = 10^4.
+    started = time.monotonic()
+    pairs = 0
+    for sizes, us in WEI_BOXES:
+        shape = BoxShape(sizes)
+        for u in us or range(shape.k):
+            primal = [rec.m_r for rec in iter_hierarchy(shape, DegreeBand(-1, u))]
+            dual_band = DegreeBand(-1, shape.k - 1 - u)
+            dual = [shape.n + 1 - rec.m_r for rec in iter_hierarchy(shape, dual_band)]
+            assert sorted(primal + dual) == list(range(1, shape.n + 1)), (sizes, u)
+            pairs += 1
+    elapsed = time.monotonic() - started
+    assert elapsed < WEI_SECONDS_CAP
+    report(
+        f"[acceptance] criterion 10 Wei duality partitions {{1..n}}: PASS "
+        f"({pairs} (box, u) pairs on {len(WEI_BOXES)} boxes up to n = 10000, {elapsed:.1f}s)"
     )

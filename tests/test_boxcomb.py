@@ -1,28 +1,33 @@
 import itertools
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brute
+from brute import (
+    CountOutOfRange,
+    cmp_lex,
+    footprint_slice,
+    lex_prefix_of_slice,
+    shadow_card_of_leq_prefix,
+    shadow_slice,
+)
 from rghw.boxcomb import (
     BoxShape,
     DegreeBand,
     band_size,
     check_band,
-    cmp_lex,
     cmp_partial,
     degree,
     enumerate_band,
     footprint,
-    footprint_slice,
-    lex_prefix_of_slice,
     lex_rank_in_leq,
     nth_band_element,
     shadow,
-    shadow_card_of_leq_prefix,
-    shadow_slice,
 )
 from rghw.errors import (
-    CountOutOfRange,
     DegreeTooHigh,
     InvalidBand,
     RankOutOfRange,
@@ -269,3 +274,42 @@ def test_unranking_huge_box_without_enumeration():
     assert band_size(shape, sliver) == 7
     assert nth_band_element(shape, sliver, 1) == (6, 0)
     assert nth_band_element(shape, sliver, 7) == (0, 6)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 7), min_size=1, max_size=4))
+def test_rank_and_unrank_round_trip_on_every_band(sizes):
+    shape = BoxShape(sizes)
+    points = sorted(shape.points(), reverse=True)
+    for u1 in range(shape.k + 1):
+        leq = [a for a in points if sum(a) <= u1]
+        for s, a in enumerate(leq, start=1):
+            assert lex_rank_in_leq(shape, u1, a) == s
+        for u2 in range(-1, u1):
+            band = DegreeBand(u2, u1)
+            members = [a for a in leq if sum(a) > u2]
+            assert members == enumerate_band(shape, band)
+            assert band_size(shape, band) == len(members)
+            for r, a in enumerate(members, start=1):
+                assert nth_band_element(shape, band, r) == a
+
+
+# huge boxes, each with a few seeded bands (u2, u1]
+IE_SHAPES = [(31623, 31623), (1000, 1000, 1000), (2,) * 40, (7, 13, 101, 997)]
+
+
+@pytest.mark.parametrize("sizes", IE_SHAPES, ids=["31623^2", "1000^3", "2^40", "7x13x101x997"])
+def test_ranks_on_huge_boxes_match_inclusion_exclusion(sizes):
+    shape = BoxShape(sizes)
+    rng = Random(repr(sizes))
+    for _ in range(8):
+        u2 = rng.randrange(-1, shape.k)
+        u1 = rng.randrange(u2 + 1, shape.k + 1)
+        band = DegreeBand(u2, u1)
+        size = brute.ie_count_leq(shape.d, u1) - brute.ie_count_leq(shape.d, u2)
+        assert band_size(shape, band) == size
+        for r in (1, size, rng.randint(1, size), rng.randint(1, size)):
+            a = nth_band_element(shape, band, r)
+            assert shape.contains(a) and u2 < sum(a) <= u1
+            assert brute.ie_rank(shape.d, u2, u1, a) == r
+            assert lex_rank_in_leq(shape, u1, a) == brute.ie_rank(shape.d, -1, u1, a)

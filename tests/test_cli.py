@@ -1,4 +1,6 @@
+import hashlib
 import importlib
+import itertools
 import json
 import os
 import shutil
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import rghw
-from rghw import cli
+from rghw import cli, weights
 from rghw.cli import main
 
 pytestmark = pytest.mark.usefixtures("capsys")
@@ -92,6 +94,53 @@ def test_hierarchy_oracle_text_column(capsys):
     lines = out.splitlines()
     assert lines[1] == "r a_r s M_r max_zeros oracle"
     assert lines[2] == "1 (1, 1) 1 1 3 1"
+
+
+# sha256 of stdout, recorded before text and CSV rows were streamed
+HIERARCHY_STDOUT_SHA256 = {
+    ("31", "30,30", "58", "-1"): {
+        "text": "5887b0f7e9ee6d153a169159e2fa625873d6fb3691d01178dd05ba6624ef8d8b",
+        "csv": "7856d0fbdace7361f0eda0c624f93b923d6bb327934d5a62359bae5d00ee16f7",
+        "json": "7f55138559b4fa5c562f586e1f90a020fd41a69ef73be8d804789759e26b8222",
+    },
+    ("101", "100,100", "85", "79"): {
+        "text": "43506495548036c66fc06bbabdeba23a682bcfc38174bc263d19dba7272cc013",
+        "csv": "2610e03eac227b939a7eeae5dddd147d0940ce682cda052c4dc10fa1123f3716",
+        "json": "11ff4c35fd691401778960a5da44cf9371e2bdb3e896f8f09bc925b99500d2d7",
+    },
+    ("5", "3,4,5", "6", "2"): {
+        "text": "bec852be101fda883694f82a60e1a74e54527a9caf0177864aaa3b4984c30e2f",
+        "csv": "1add01a47a2cee10b86d69e04ccbf19f36fe066d263f96a46374a6869dcd52d6",
+        "json": "16660507be0fac9953746fd0532a6a958a4874fa850eb0891b45df7da95a40dd",
+    },
+}
+
+
+@pytest.mark.parametrize("query", list(HIERARCHY_STDOUT_SHA256), ids=str)
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_hierarchy_stdout_pinned(capsys, query, fmt):
+    q, sizes, u1, u2 = query
+    code, out, err = run_cli(
+        capsys, "hierarchy", "--q", q, "--sizes", sizes, "--u1", u1, "--u2", u2, "--format", fmt
+    )
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == HIERARCHY_STDOUT_SHA256[query][fmt]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_hierarchy_rows_are_printed_as_they_are_yielded(capsys, monkeypatch, fmt):
+    def two_rows_then_fail(shape, band):
+        yield from itertools.islice(weights.iter_hierarchy(shape, band), 2)
+        raise RuntimeError("walk stopped")
+
+    monkeypatch.setattr(cli, "iter_hierarchy", two_rows_then_fail)
+    code, out, err = run_cli(
+        capsys, "hierarchy", "--q", "31", "--sizes", "30,30", "--u1", "58", "--u2", "-1",
+        "--format", fmt,
+    )
+    assert code == 4 and "walk stopped" in err
+    header = 2 if fmt == "text" else 1
+    assert len(out.splitlines()) == header + 2
 
 
 def test_maximal_text(capsys):

@@ -1,8 +1,19 @@
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rghw.boxcomb import BoxShape, DegreeBand, band_size
 from rghw.errors import InvalidBand, RankOutOfRange
-from rghw.weights import WeightQuery, WeightRecord, hierarchy, max_zeros, rghw
+from rghw.weights import (
+    WeightQuery,
+    WeightRecord,
+    hierarchy,
+    iter_hierarchy,
+    max_zeros,
+    rghw,
+)
 
 
 def weights_of(sizes, u2, u1):
@@ -88,3 +99,39 @@ def test_hierarchy_report_metadata():
     report = hierarchy(shape, band)
     assert report.shape == shape and report.band == band
     assert report.records[0].oracle is None
+
+
+def every_band(shape):
+    return [DegreeBand(u2, u1) for u1 in range(shape.k + 1) for u2 in range(-1, u1)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 7), min_size=1, max_size=4))
+def test_streamed_records_equal_single_ranks(sizes):
+    shape = BoxShape(sizes)
+    for band in every_band(shape):
+        streamed = list(iter_hierarchy(shape, band))
+        assert streamed == [
+            rghw(WeightQuery(shape, band, r)) for r in range(1, band_size(shape, band) + 1)
+        ]
+
+
+# sha256 over repr((sizes, u2, u1, record)) of every record of every band,
+# bands in (u1, u2) order, recorded before the rank tables were rewritten
+RECORDS_SHA256 = {
+    (2, 3): "7b25af62a70ddf3e52fa4cbb818e18f31a2b8c9a4b2ba957fbe30a7a844e8752",
+    (3, 3): "737a0098e9348d172fa985b260950f9adf515568fafa92033c123328c2ef4a3e",
+    (2, 2, 2): "f0eb6f8c6513605e263fce882e185e9a47c81b05e1967e70da0fdd428510d2e3",
+    (3, 4, 5): "e5d232c4d4826899fca5cbca2881eded6b74dc1300fb5c20eeaf86f96179c46a",
+    (2,) * 10: "d2fa87d47e96520ceb6bf4049353841a55e580c57acaf6c0f188530852ce35f6",
+}
+
+
+@pytest.mark.parametrize("sizes", list(RECORDS_SHA256), ids=str)
+def test_every_record_pinned(sizes):
+    shape = BoxShape(sizes)
+    digest = hashlib.sha256()
+    for band in every_band(shape):
+        for rec in hierarchy(shape, band).records:
+            digest.update(repr((sizes, band.u2, band.u1, rec)).encode())
+    assert digest.hexdigest() == RECORDS_SHA256[sizes]
