@@ -9,10 +9,9 @@ from .boxcomb import (
     BoxShape,
     DegreeBand,
     band_size,
-    cmp_partial,
-    degree,
     enumerate_band,
     footprint,
+    iter_band,
     lex_rank_in_leq,
     nth_band_element,
     shadow,
@@ -22,8 +21,6 @@ from .codes import (
     CartesianGrid,
     build_code,
     build_grid,
-    membership,
-    support_of_span,
 )
 from .errors import (
     BudgetExceeded,
@@ -35,7 +32,6 @@ from .errors import (
     InvalidBand,
     InvalidBudget,
     InvalidNesting,
-    LengthMismatch,
     NotAPrimePower,
     RankOutOfRange,
     RghwError,
@@ -65,7 +61,6 @@ from .weights import (
     WeightReport,
     hierarchy,
     iter_hierarchy,
-    max_zeros,
     rghw,
 )
 

@@ -10,7 +10,8 @@ points with u2 < deg(a) <= u1; bands must be nonempty as intervals
 (-1 <= u2 < u1 <= k where k = sum(d_i - 1)).
 
 The shadow of a set S is its upward closure under the partial order;
-the footprint is the complement of the shadow in the box.  Ranking and
+the footprint is the complement of the shadow in the box.  A band is
+walked in descending-lex order by successor, O(m) a point.  Ranking and
 unranking inside bands count digit by digit against one table per shape
 of second-order degree sums, so ranks are reachable without ever
 enumerating the box: unranking costs O(m log max(d)), ranking O(m).
@@ -88,13 +89,6 @@ class BoxShape:
             out = out * self.d[i] + a[i]
         return out
 
-    def decode(self, idx: int) -> BoxPoint:
-        out = []
-        for s in reversed(self.d):
-            out.append(idx % s)
-            idx //= s
-        return tuple(reversed(out))
-
     def points(self) -> Iterator[BoxPoint]:
         """All box points, mixed-radix ascending (last coordinate fastest)."""
         return itertools.product(*(range(s) for s in self.d))
@@ -126,26 +120,6 @@ class DegreeBand:
 def check_band(shape: BoxShape, band: DegreeBand) -> None:
     if band.u1 > shape.k:
         raise InvalidBand(f"u1 = {band.u1} > k = {shape.k} for box {shape.d}")
-
-
-def degree(a: BoxPoint) -> int:
-    return sum(a)
-
-
-def cmp_partial(a: BoxPoint, b: BoxPoint) -> int | None:
-    """Coordinatewise comparison: -1, 0 or 1 as a is below, equal to or
-    above b in every coordinate, None if incomparable."""
-    if len(a) != len(b):
-        raise ShapeMismatch(f"points {a!r} and {b!r} have different arity")
-    le = all(x <= y for x, y in zip(a, b))
-    ge = all(x >= y for x, y in zip(a, b))
-    if le and ge:
-        return 0
-    if le:
-        return -1
-    if ge:
-        return 1
-    return None
 
 
 # -- degree counting ------------------------------------------------------------
@@ -190,12 +164,36 @@ def band_size(shape: BoxShape, band: DegreeBand) -> int:
     )
 
 
+def iter_band(shape: BoxShape, band: DegreeBand) -> Iterator[BoxPoint]:
+    """Band members in descending lexicographic order, one at a time.
+
+    The walk goes by successor: the rightmost digit that can drop by one
+    and still leave degree above u2 for the digits after it drops, and
+    those digits refill greedily up to u1.  A step costs O(m).
+    """
+    check_band(shape, band)
+    d, u2, u1 = shape.d, band.u2, band.u1
+    top_degree_after = [sum(d[i + 1 :]) - len(d[i + 1 :]) for i in range(len(d))]
+    a = [0] * len(d)
+    i, prefix = -1, 0
+    while True:
+        for j in range(i + 1, len(d)):
+            a[j] = min(d[j] - 1, u1 - prefix)
+            prefix += a[j]
+        yield tuple(a)
+        for i in range(len(d) - 1, -1, -1):
+            prefix -= a[i]
+            if a[i] and prefix + a[i] - 1 + top_degree_after[i] > u2:
+                break
+        else:
+            return
+        a[i] -= 1
+        prefix += a[i]
+
+
 def enumerate_band(shape: BoxShape, band: DegreeBand) -> list[BoxPoint]:
     """Band members in descending lexicographic order."""
-    check_band(shape, band)
-    out = [a for a in shape.points() if band.u2 < sum(a) <= band.u1]
-    out.sort(reverse=True)
-    return out
+    return list(iter_band(shape, band))
 
 
 def nth_band_element(shape: BoxShape, band: DegreeBand, r: int) -> BoxPoint:

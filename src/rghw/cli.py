@@ -25,6 +25,11 @@ from .weights import WeightQuery, iter_hierarchy, rghw
 
 DEFAULT_GRID_QS = (2, 3, 4)
 DEFAULT_GRID_SHAPES = ((2,), (3,), (2, 2), (2, 3), (3, 3), (2, 2, 2))
+# one verify row: its JSON keys, CSV header and text fields, in this order
+VERIFY_COLUMNS = (
+    "q", "sizes", "u1", "u2", "r", "formula", "support", "window", "attainment", "status",
+)
+FOOTPRINT_MAX_N = 12  # largest grid of the footprint sweep
 
 
 # -- small parsers ------------------------------------------------------------------
@@ -57,9 +62,18 @@ def _budget(args) -> OracleBudget:
 
 
 def _emit_csv(header, rows) -> None:
+    """Rows (lists) as they are yielded.  A tuple or list cell is written
+    space separated, and None (by csv itself) as an empty cell; which
+    columns hold tuples or lists is read off the first row."""
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    joined = None
+    for row in rows:
+        if joined is None:
+            joined = [i for i, x in enumerate(row) if isinstance(x, (tuple, list))]
+        for i in joined:
+            row[i] = " ".join(map(str, row[i]))
+        writer.writerow(row)
 
 
 def hierarchy_json_obj(q: int, shape: BoxShape, band: DegreeBand, records) -> dict:
@@ -86,17 +100,7 @@ def _print_hierarchy(q, shape, band, records, fmt, oracle) -> None:
     elif fmt == "csv":
         _emit_csv(
             ["r", "a_r", "s", "M_r", "max_zeros", "oracle"],
-            (
-                [
-                    rec.r,
-                    " ".join(str(x) for x in rec.a_r),
-                    rec.s,
-                    rec.m_r,
-                    rec.max_zeros,
-                    "" if rec.oracle is None else rec.oracle,
-                ]
-                for rec in records
-            ),
+            ([rec.r, rec.a_r, rec.s, rec.m_r, rec.max_zeros, rec.oracle] for rec in records),
         )
     else:
         print(f"q={q} sizes={list(shape.d)} u1={band.u1} u2={band.u2}")
@@ -169,14 +173,7 @@ def cmd_maximal(args) -> int:
         _emit_csv(
             ["index", "polynomial", "leading_exponent", "common_zeros", "support", "M_r"],
             [
-                [
-                    i + 1,
-                    f.render(),
-                    " ".join(str(x) for x in f.leading_term().exponent),
-                    zeros,
-                    support,
-                    record.m_r,
-                ]
+                [i + 1, f.render(), f.leading_term().exponent, zeros, support, record.m_r]
                 for i, f in enumerate(family)
             ],
         )
@@ -197,11 +194,11 @@ def run_verify_grid(
     window_max_n: int = 9,
     budget: OracleBudget | None = None,
     corrupt: bool = False,
-    attainment: bool = True,
 ):
     """Formula-vs-oracle sweep.  Returns (rows, summary); each row is a dict
-    with the tuple parameters, the formula value, the oracle values that ran
-    (None where skipped or not applicable) and a status OK/MISMATCH/SKIPPED."""
+    keyed by VERIFY_COLUMNS: the tuple parameters, the formula value, the
+    oracle values that ran (None where skipped or not applicable), the
+    attaining family's support and a status OK/MISMATCH/SKIPPED."""
     rows = []
     summary = {"ok": 0, "mismatch": 0, "skipped": 0}
     for q in qs:
@@ -224,7 +221,7 @@ def run_verify_grid(
                         formula = rghw(WeightQuery(shape, band, r)).m_r
                         if corrupt:
                             formula += 1
-                        support = window = attained = None
+                        support = window = None
                         skipped = False
                         try:
                             support = oracle_rghw_support(c1, c2, r, budget).value
@@ -235,9 +232,8 @@ def run_verify_grid(
                                 window = oracle_rghw_window(c1, c2, r, budget).value
                             except BudgetExceeded:
                                 skipped = True
-                        if attainment:
-                            family = maximal_family(grid, band, r)
-                            attained = shape.n - common_zero_count(family, grid)
+                        family = maximal_family(grid, band, r)
+                        attained = shape.n - common_zero_count(family, grid)
                         ran = [v for v in (support, window, attained) if v is not None]
                         if any(v != formula for v in ran):
                             status = "MISMATCH"
@@ -246,32 +242,22 @@ def run_verify_grid(
                         else:
                             status = "OK"
                         summary["ok" if status == "OK" else status.lower()] += 1
-                        rows.append(
-                            {
-                                "q": q,
-                                "sizes": list(shape.d),
-                                "u1": u1,
-                                "u2": u2,
-                                "r": r,
-                                "formula": formula,
-                                "support": support,
-                                "window": window,
-                                "attainment": attained,
-                                "status": status,
-                            }
-                        )
+                        values = (q, list(shape.d), u1, u2, r, formula, support, window,
+                                  attained, status)
+                        rows.append(dict(zip(VERIFY_COLUMNS, values)))
     return rows, summary
 
 
-def run_footprint_sweep(q: int, count: int, seed: int, max_n: int = 12):
-    """Seeded random families; checks |common zeros| <= footprint bound of
-    the leading exponents.  Returns (checked, violations)."""
+def run_footprint_sweep(q: int, count: int, seed: int):
+    """Seeded random families on grids of up to FOOTPRINT_MAX_N points;
+    checks |common zeros| <= footprint bound of the leading exponents.
+    Returns (checked, violations)."""
     field = Field(q)
     shapes = []
 
     def grow(prefix, product):
-        for s in range(prefix[-1] if prefix else 2, min(q, max_n) + 1):
-            if product * s > max_n:
+        for s in range(prefix[-1] if prefix else 2, min(q, FOOTPRINT_MAX_N) + 1):
+            if product * s > FOOTPRINT_MAX_N:
                 break
             shapes.append(tuple(prefix + [s]))
             grow(prefix + [s], product * s)
@@ -324,31 +310,10 @@ def cmd_verify(args) -> int:
         obj = {"grid": rows, "footprint": footprint_lines, "summary": summary}
         print(json.dumps(obj, indent=2))
     elif args.format == "csv":
-        _emit_csv(
-            ["q", "sizes", "u1", "u2", "r", "formula", "support", "window", "attainment", "status"],
-            [
-                [
-                    row["q"],
-                    " ".join(str(x) for x in row["sizes"]),
-                    row["u1"],
-                    row["u2"],
-                    row["r"],
-                    row["formula"],
-                    "" if row["support"] is None else row["support"],
-                    "" if row["window"] is None else row["window"],
-                    "" if row["attainment"] is None else row["attainment"],
-                    row["status"],
-                ]
-                for row in rows
-            ],
-        )
+        _emit_csv(VERIFY_COLUMNS, ([row[c] for c in VERIFY_COLUMNS] for row in rows))
     else:
         for row in rows:
-            print(
-                f"q={row['q']} sizes={row['sizes']} u1={row['u1']} u2={row['u2']} "
-                f"r={row['r']} formula={row['formula']} support={row['support']} "
-                f"window={row['window']} attainment={row['attainment']} {row['status']}"
-            )
+            print(*(f"{c}={row[c]}" for c in VERIFY_COLUMNS[:-1]), row["status"])
         for line in footprint_lines:
             print(
                 f"footprint q={line['q']} families={line['families']} "

@@ -22,11 +22,10 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .boxcomb import BoxShape, DegreeBand, enumerate_band
+from .boxcomb import BoxShape, DegreeBand, iter_band
 from .errors import (
     DegreeOutOfRange,
     DuplicateElements,
-    LengthMismatch,
     ShapeMismatch,
     SubsetTooLarge,
 )
@@ -65,22 +64,6 @@ def rref(rows: Iterable[Sequence[int]], field: Field):
     return [tuple(r) for r in reduced], pivots
 
 
-def rank(rows: Iterable[Sequence[int]], field: Field) -> int:
-    return len(rref(rows, field)[1])
-
-
-def reduce_vector(v: Sequence[int], reduced_rows, pivots, field: Field) -> tuple:
-    """Remainder of v after elimination against an RREF basis."""
-    out = list(v)
-    for row, p in zip(reduced_rows, pivots):
-        c = out[p]
-        if c:
-            for j in range(p, len(out)):
-                if row[j]:
-                    out[j] = field.sub(out[j], field.mul(c, row[j]))
-    return tuple(out)
-
-
 class CartesianGrid:
     """Evaluation point set A_1 x ... x A_m with per-coordinate power tables."""
 
@@ -88,16 +71,7 @@ class CartesianGrid:
 
     def __init__(self, field: Field, shape: BoxShape, subsets: Sequence[Sequence[int]]):
         subsets = tuple(tuple(s) for s in subsets)
-        if len(subsets) != shape.m:
-            raise ShapeMismatch(f"{len(subsets)} subsets for an m = {shape.m} box")
-        for i, sub in enumerate(subsets):
-            if len(sub) != shape.d[i]:
-                raise ShapeMismatch(f"subset {i} has size {len(sub)}, box side is {shape.d[i]}")
-            if len(set(sub)) != len(sub):
-                raise DuplicateElements(f"subset {i} repeats elements: {sub}")
-            for g in sub:
-                if not 0 <= g < field.q:
-                    raise ShapeMismatch(f"element {g!r} is not a GF({field.q}) encoding")
+        check_sizes(field, shape.d, subsets)
         self.field = field
         self.shape = shape
         self.subsets = subsets
@@ -133,13 +107,22 @@ class CartesianGrid:
 
 
 def check_sizes(field: Field, sizes, subsets=None, warn=None) -> BoxShape:
-    """Ascending shape of `sizes`, checked with any explicit subsets against
-    GF(q); a reordering of `sizes` is reported through `warn`."""
+    """Ascending shape of `sizes`, checked against GF(q) with any explicit
+    subsets (one per size, of that size, of distinct GF(q) encodings); a
+    reordering of `sizes` is reported through `warn`."""
     shape = BoxShape(sizes)
     if shape.d[-1] > field.q:
         raise SubsetTooLarge(f"d_m = {shape.d[-1]} > q = {field.q}")
     if subsets is not None and len(subsets) != shape.m:
         raise ShapeMismatch(f"{len(subsets)} subsets for an m = {shape.m} box")
+    for i, (sub, size) in enumerate(zip(subsets or (), sizes)):
+        if len(sub) != size:
+            raise ShapeMismatch(f"subset {i} has size {len(sub)}, box side is {size}")
+        if len(set(sub)) != len(sub):
+            raise DuplicateElements(f"subset {i} repeats elements: {tuple(sub)}")
+        for g in sub:
+            if not 0 <= g < field.q:
+                raise ShapeMismatch(f"element {g!r} is not a GF({field.q}) encoding")
     if tuple(sizes) != shape.d and warn is not None:
         warn(
             f"WARNING: sizes {list(sizes)} sorted ascending to {list(shape.d)} "
@@ -176,31 +159,31 @@ def build_grid(
 class CartesianCode:
     """Evaluation code of the monomials with deg <= d on a grid."""
 
-    __slots__ = ("grid", "d", "basis", "G", "parity_columns", "_rref", "_pivots")
+    __slots__ = ("grid", "d", "basis", "G", "parity_columns")
 
     def __init__(self, grid: CartesianGrid, d: int):
         if not 0 <= d <= grid.shape.k:
             raise DegreeOutOfRange(f"degree bound {d} outside 0..{grid.shape.k}")
         self.grid = grid
         self.d = d
-        self.basis = tuple(enumerate_band(grid.shape, DegreeBand(-1, d)))
+        self.basis = tuple(iter_band(grid.shape, DegreeBand(-1, d)))
         self.G = tuple(grid.monomial_values(exp) for exp in self.basis)
-        self._rref, self._pivots = rref(self.G, grid.field)
-        if len(self._pivots) != len(self.basis):
+        reduced, pivots = rref(self.G, grid.field)
+        if len(pivots) != len(self.basis):
             raise AssertionError(
                 f"evaluation not injective on degree <= {d}: "
-                f"rank {len(self._pivots)} != {len(self.basis)} monomials"
+                f"rank {len(pivots)} != {len(self.basis)} monomials"
             )
         # columns of the parity-check matrix H = [-A^T | I] read off the RREF
         # [I | A]: one check per non-pivot column j, 1 at j and -rref[i][j]
         # at pivot i; n - k entries per column
         field = grid.field
-        pivots = set(self._pivots)
-        free = [j for j in range(self.length) if j not in pivots]
+        taken = set(pivots)
+        free = [j for j in range(self.length) if j not in taken]
         columns = [None] * self.length
         for t, j in enumerate(free):
             columns[j] = tuple(int(s == t) for s in range(len(free)))
-        for row, p in zip(self._rref, self._pivots):
+        for row, p in zip(reduced, pivots):
             columns[p] = tuple(field.neg(row[j]) for j in free)
         self.parity_columns = tuple(columns)
 
@@ -221,23 +204,3 @@ class CartesianCode:
 
 def build_code(grid: CartesianGrid, d: int) -> CartesianCode:
     return CartesianCode(grid, d)
-
-
-def membership(code: CartesianCode, v: Sequence[int]) -> bool:
-    if len(v) != code.length:
-        raise LengthMismatch(f"vector length {len(v)} != code length {code.length}")
-    residue = reduce_vector(v, code._rref, code._pivots, code.grid.field)
-    return not any(residue)
-
-
-def support_of_span(vectors: Sequence[Sequence[int]]) -> set:
-    """Union of supports of the given vectors, as 1-based positions; this
-    is the support of their span."""
-    vectors = [tuple(v) for v in vectors]
-    if not vectors:
-        return set()
-    width = len(vectors[0])
-    for v in vectors:
-        if len(v) != width:
-            raise LengthMismatch("vectors of mixed lengths")
-    return {i + 1 for i in range(width) if any(v[i] for v in vectors)}

@@ -49,10 +49,6 @@ class DegreeOutOfRange(RghwError):
     """Code degree bound outside 0..k."""
 
 
-class LengthMismatch(RghwError):
-    """Vector length does not match the code/grid length."""
-
-
 class EmptyFamily(RghwError):
     """An operation on a family of polynomials received an empty list."""
 

@@ -34,7 +34,9 @@ with each other:
 * oracle_max_zeros_families maximizes the number of common grid zeros
   over families f_1..f_r of monic polynomials with distinct band-degree
   leading exponents, enumerating per-leading-exponent cosets of lower
-  terms and combining per-slot zero masks.
+  terms and combining per-slot zero masks.  It is the one route that
+  checks the common-zeros statement directly; its tables are built
+  afresh on every call, and no state is kept between calls.
 
 All enumeration is deterministic (fixed candidate orders, ties broken by
 ascending coefficient encoding), so two runs return identical witnesses.
@@ -46,12 +48,11 @@ value-preserving shortcut for reference runs on tiny inputs.
 from __future__ import annotations
 
 import itertools
-import operator
 import time
 from dataclasses import dataclass
 from math import comb
 
-from .boxcomb import DegreeBand, check_band, enumerate_band
+from .boxcomb import DegreeBand, enumerate_band
 from .codes import CartesianCode, CartesianGrid
 from .errors import BudgetExceeded, InvalidBudget, InvalidNesting, RankOutOfRange
 from .gf import PackedVectors
@@ -134,24 +135,6 @@ def _coset_masks(field, packing: PackedVectors, base, gens, meter: _Meter) -> li
         for c in range(1, field.q):
             vectors += packing.translates(block, packing.pack(_vec_scale(field, c, g)))
     return packing.supports(vectors)
-
-
-class _LastSetUp:
-    """The most recent oracle set-up, found again by the identity of the
-    objects it was built from.  The old one is released before a new one
-    is built, so at most one is alive."""
-
-    keys: tuple = ()
-    value = None
-
-    def get(self, keys: tuple, build):
-        """(set-up, True) when `keys` are the held set-up's objects, else
-        (build(), False)."""
-        if len(keys) == len(self.keys) and all(map(operator.is_, keys, self.keys)):
-            return self.value, True
-        self.keys, self.value = (), None
-        self.value, self.keys = build(), keys
-        return self.value, False
 
 
 # -- support route ----------------------------------------------------------------
@@ -301,7 +284,9 @@ class _SupportSearch:
         return best, best_rows
 
 
-_support_setups = _LastSetUp()
+# (C1, C2, set-up) of the latest support call, found again by identity;
+# the old set-up is released before a new one is built, so at most one is alive
+_held = None
 
 
 def oracle_rghw_support(
@@ -313,14 +298,19 @@ def oracle_rghw_support(
 ) -> OracleResult:
     """Exact min |supp(D)| over r-dim subspaces D of C1 with trivial
     intersection with C2 (C2 = None means the zero code)."""
+    global _held
     _check_pair(c1, c2)
     ell = c1.dim - (c2.dim if c2 is not None else 0)
     if not 1 <= r <= ell:
         raise RankOutOfRange(f"r = {r} outside 1..{ell}")
     meter = _Meter(budget or OracleBudget())
-    search, held = _support_setups.get((c1, c2), lambda: _SupportSearch(c1, c2, meter))
-    if held:
+    if _held is not None and _held[0] is c1 and _held[1] is c2:
+        search = _held[2]
         meter.spend(search.setup_states)
+    else:
+        _held = None
+        search = _SupportSearch(c1, c2, meter)
+        _held = (c1, c2, search)
     value, rows = search.rank(r, meter, prune)
     return OracleResult(
         value=value,
@@ -424,32 +414,28 @@ def oracle_rghw_window(
 
 
 class _FamiliesTable:
-    """Per-grid cache of zero masks for monic leading exponents.
+    """Zero masks for monic leading exponents on one grid.
 
     For a leading exponent t, the coset {x^t + lower terms} runs over all
-    coefficient choices on box exponents strictly below t in graded lex;
-    masks_for(t) holds the achievable zero masks (grid positions where
-    the polynomial vanishes, as PackedVectors support bits) with the first
-    encoding achieving each; a cached entry charges its construction
-    states again."""
+    coefficient choices on box exponents strictly below t in graded lex
+    (ascending degree, each degree ascending lex); masks_for(t) maps each
+    achievable zero mask (grid positions where the polynomial vanishes,
+    as PackedVectors support bits) to the first encoding achieving it."""
 
     def __init__(self, grid: CartesianGrid):
         self.grid = grid
         shape = grid.shape
-        self.glex = sorted(shape.points(), key=lambda e: (sum(e), e))
+        self.glex = [
+            e for t in range(shape.k + 1)
+            for e in reversed(enumerate_band(shape, DegreeBand(t - 1, t)))
+        ]
         self.glex_rank = {e: i for i, e in enumerate(self.glex)}
         self.packing = PackedVectors(grid.field.p, grid.field.e, shape.n)
-        self._masks: dict = {}
 
     def preds(self, t) -> list:
         return self.glex[: self.glex_rank[t]]
 
     def masks_for(self, t, meter: _Meter) -> dict:
-        hit = self._masks.get(t)
-        if hit is not None:
-            meter.spend(hit[1])
-            return hit[0]
-        start = meter.states
         base = self.grid.monomial_values(t)
         gens = [self.grid.monomial_values(mu) for mu in self.preds(t)]
         zero_masks: dict = {}
@@ -458,7 +444,6 @@ class _FamiliesTable:
             mask = full ^ support
             if mask not in zero_masks:
                 zero_masks[mask] = enc
-        self._masks[t] = (zero_masks, meter.states - start)
         return zero_masks
 
     def poly(self, t, enc: int) -> MultiPoly:
@@ -469,9 +454,6 @@ class _FamiliesTable:
             if c:
                 terms[mu] = c
         return MultiPoly(field, self.grid.shape, terms)
-
-
-_families_tables = _LastSetUp()
 
 
 def _maximal_masks(masks: dict) -> list:
@@ -496,12 +478,11 @@ def oracle_max_zeros_families(
     """Exact max of |common grid zeros| over families f_1..f_r of monic
     polynomials with distinct leading exponents of band degree (lower
     terms free).  n - value cross-checks the weight formula."""
-    check_band(grid.shape, band)
     members = enumerate_band(grid.shape, band)
     if not 1 <= r <= len(members):
         raise RankOutOfRange(f"r = {r} outside 1..{len(members)}")
     meter = _Meter(budget or OracleBudget())
-    table, _ = _families_tables.get((grid,), lambda: _FamiliesTable(grid))
+    table = _FamiliesTable(grid)
 
     slots = []
     for t in members:

@@ -2,8 +2,8 @@
 
 A MultiPoly stores {exponent tuple: coefficient} with every exponent
 inside the box (deg_{x_i} <= d_i - 1) and every coefficient a nonzero
-canonical field encoding.  deg(0) = -1.  The leading term is taken in
-graded lexicographic order: higher total degree wins, ties broken
+canonical field encoding.  The leading term is taken in graded
+lexicographic order: higher total degree wins, ties broken
 lexicographically on the exponent tuple.
 
 `make_maximal_poly` builds the product
@@ -50,14 +50,6 @@ class MultiPoly:
         self.field = field
         self.shape = shape
         self.terms = clean
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def leading_term(self) -> LeadingTerm | None:
         if not self.terms:
@@ -173,11 +165,11 @@ def maximal_family(grid: "CartesianGrid", band: DegreeBand, r: int) -> list[Mult
     ]
 
 
-def random_poly(field: Field, shape: BoxShape, rng: Random, max_terms: int = 4) -> MultiPoly:
-    """Nonzero polynomial with 1..max_terms random box exponents; for the
-    seeded footprint-bound sweeps."""
+def random_poly(field: Field, shape: BoxShape, rng: Random) -> MultiPoly:
+    """Nonzero polynomial with 1..4 random box exponents; for the seeded
+    footprint-bound sweeps."""
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 4)):
         exp = tuple(rng.randrange(s) for s in shape.d)
         terms[exp] = rng.randint(1, field.q - 1)
     return MultiPoly(field, shape, terms)

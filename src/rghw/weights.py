@@ -23,7 +23,7 @@ from .boxcomb import (
     DegreeBand,
     _rank_in_leq,
     band_size,
-    check_band,
+    iter_band,
     nth_band_element,
 )
 from .errors import RankOutOfRange
@@ -76,37 +76,10 @@ def rghw(query: WeightQuery) -> WeightRecord:
     return _record(shape, band.u1, r, nth_band_element(shape, band, r))
 
 
-def max_zeros(query: WeightQuery) -> int:
-    return rghw(query).max_zeros
-
-
 def iter_hierarchy(shape: BoxShape, band: DegreeBand) -> Iterator[WeightRecord]:
-    """The records r = 1, 2, ..., l one at a time, holding none of them.
-
-    The band is walked in descending lexicographic order by successor:
-    the rightmost digit that can drop by one and still leave degree
-    above u2 for the digits after it drops, and those digits refill
-    greedily up to u1.  A step costs O(m), and so does each rank s.
-    """
-    check_band(shape, band)
-    d, u2, u1 = shape.d, band.u2, band.u1
-    top_degree_after = [sum(d[i + 1 :]) - len(d[i + 1 :]) for i in range(len(d))]
-    a = [0] * len(d)
-    i, prefix, r = -1, 0, 1
-    while True:
-        for j in range(i + 1, len(d)):
-            a[j] = min(d[j] - 1, u1 - prefix)
-            prefix += a[j]
-        yield _record(shape, u1, r, tuple(a))
-        for i in range(len(d) - 1, -1, -1):
-            prefix -= a[i]
-            if a[i] and prefix + a[i] - 1 + top_degree_after[i] > u2:
-                break
-        else:
-            return
-        a[i] -= 1
-        prefix += a[i]
-        r += 1
+    """The records r = 1, 2, ..., l one at a time, holding none of them:
+    one `_record` per point of the band walk, O(m) each."""
+    return (_record(shape, band.u1, r, a_r) for r, a_r in enumerate(iter_band(shape, band), 1))
 
 
 def hierarchy(shape: BoxShape, band: DegreeBand) -> WeightReport:

@@ -127,6 +127,53 @@ def test_hierarchy_stdout_pinned(capsys, query, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == HIERARCHY_STDOUT_SHA256[query][fmt]
 
 
+# sha256 of stdout, recorded before verify's columns came from one tuple and
+# before CSV cells were joined in one place.  The first verify query leaves
+# the window cells of n = 6 empty and adds footprint lines; the second
+# skips rows on its state budget.  The second maximal query sorts its sizes
+# and permutes its subsets along.
+STDOUT_SHA256 = {
+    ("verify", "--q-list", "2,3", "--shapes", "2,2;2,3", "--window-max-n", "4",
+     "--footprint", "12", "--seed", "5"): {
+        "text": "4bd0dee986d0e737e3e4a0e487fd2e5bc3a72d1c26f9904049f8be944884741a",
+        "csv": "fe65673831d5300db8b61e4e6def4f35add8d66f9dc6e4f17ca8d1b397bcce6e",
+        "json": "5a117aed72b146a78a85c49d63790123666ca1699eb5e32e14c898a14e621164",
+    },
+    ("verify", "--q-list", "3", "--shapes", "3;2,3", "--budget-states", "40"): {
+        "text": "610b8cf201a01a398fe44b72fdb9f324b05abc3e3012a427247d29969bd8eec7",
+        "csv": "42e58029fbd0c3a8a0b91489ea4396429e76fdaefedbe83eb0bd42594926b66e",
+        "json": "a4e6ca35fd645261fe843868a34a96c12b7af3ef7af4fd18bed5a9a08b96a863",
+    },
+    ("maximal", "--q", "5", "--sizes", "3,4", "--u1", "4", "--u2", "1", "--r", "3"): {
+        "text": "6ab3c6f3c472e02dd357397c01647d998850154bfc3deedacee564079afcc3dc",
+        "csv": "d077b5396f5756f57fceee677f7ef18567bf48a505b3b15a40c2570b235f3cea",
+        "json": "ce522f103bedb49f925db857518f562d1d8be52f658949445e3ce662582382d7",
+    },
+    ("maximal", "--q", "4", "--sizes", "3,2,2", "--u1", "3", "--u2", "-1", "--r", "5",
+     "--subsets", "0,1,2;1,3;2,3"): {
+        "text": "920aed828bfb0ec025f79a4c1794aaa62fdb6a3366debcfc5617123ddb93696c",
+        "csv": "440ed8c7d3c8bddac7da242c1e6d70ba7a1b93bef84fa7fed7df927fac822220",
+        "json": "8391e0eef192ba0fe3233a8a31fef48826513ef3a27bbcbea8767579a60e8528",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(STDOUT_SHA256), ids=" ".join)
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_verify_and_maximal_stdout_pinned(capsys, argv, fmt):
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv][fmt]
+
+
+def test_pinned_verify_queries_cover_empty_cells_and_skips(capsys):
+    empty, skips = [argv for argv in STDOUT_SHA256 if argv[0] == "verify"]
+    obj = json.loads(run_cli(capsys, *empty, "--format", "json")[1])
+    assert any(row["window"] is None for row in obj["grid"]) and obj["footprint"]
+    obj = json.loads(run_cli(capsys, *skips, "--format", "json")[1])
+    assert obj["summary"]["skipped"] > 0
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv"])
 def test_hierarchy_rows_are_printed_as_they_are_yielded(capsys, monkeypatch, fmt):
     def two_rows_then_fail(shape, band):
@@ -260,6 +307,13 @@ def test_invalid_inputs_exit_2(capsys):
          "--r", "1", "--subsets", "0,1;1,1"),
         ("hierarchy", "--q", "3", "--sizes", "2,2", "--u1", "1", "--u2", "-1",
          "--subsets", "0,1", "--oracle"),
+        # without --oracle no grid is built, and the subsets are checked all the same
+        ("hierarchy", "--q", "3", "--sizes", "2,2", "--u1", "1", "--u2", "-1",
+         "--subsets", "0,0;0,1"),
+        ("hierarchy", "--q", "3", "--sizes", "2,2", "--u1", "1", "--u2", "-1",
+         "--subsets", "0,1;0,5"),
+        ("hierarchy", "--q", "3", "--sizes", "2,2", "--u1", "1", "--u2", "-1",
+         "--subsets", "0;0,1,2"),
         ("hierarchy", "--q", "3", "--sizes", "2,2", "--u1", "1", "--u2", "-1",
          "--oracle", "--budget-seconds", "-1"),
         ("hierarchy", "--q", "3", "--sizes", "2,2", "--u1", "1", "--u2", "-1",

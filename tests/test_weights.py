@@ -11,7 +11,6 @@ from rghw.weights import (
     WeightRecord,
     hierarchy,
     iter_hierarchy,
-    max_zeros,
     rghw,
 )
 
@@ -59,7 +58,7 @@ def test_relative_single_variable():
 def test_record_fields_consistent():
     rec = rghw(WeightQuery(BoxShape((2, 3)), DegreeBand(0, 2), 1))
     assert rec == WeightRecord(r=1, a_r=(1, 1), s=1, m_r=2, max_zeros=4)
-    assert max_zeros(WeightQuery(BoxShape((2, 3)), DegreeBand(0, 2), 1)) == 4
+    assert rec.max_zeros == BoxShape((2, 3)).n - rec.m_r == 4
 
 
 def test_query_validation():
