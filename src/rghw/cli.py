@@ -123,6 +123,7 @@ def cmd_hierarchy(args) -> int:
     shape = check_sizes(field, sizes, subsets, warn=_warn)
     band = DegreeBand(args.u2, args.u1)
     check_band(shape, band)
+    budget = _budget(args)  # checked with or without --oracle
     if args.r is not None:
         records = [rghw(WeightQuery(shape, band, args.r))]
     else:
@@ -131,7 +132,6 @@ def cmd_hierarchy(args) -> int:
         grid = build_grid(field, sizes, subsets=subsets, policy=args.policy)
         c1 = build_code(grid, band.u1)
         c2 = build_code(grid, band.u2) if band.u2 >= 0 else None
-        budget = _budget(args)
         records = [
             dataclasses.replace(rec, oracle=oracle_rghw_support(c1, c2, rec.r, budget).value)
             for rec in records

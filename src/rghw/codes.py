@@ -65,9 +65,15 @@ def rref(rows: Iterable[Sequence[int]], field: Field):
 
 
 class CartesianGrid:
-    """Evaluation point set A_1 x ... x A_m with per-coordinate power tables."""
+    """Evaluation point set A_1 x ... x A_m with per-coordinate power tables.
 
-    __slots__ = ("field", "shape", "subsets", "points", "_pows")
+    The grid is a product, so the values of sum_e c_e x^e at every point
+    are the Kronecker product of the per-coordinate Vandermonde maps
+    [a^e for a in A_i] applied to the coefficients; both evaluators below
+    apply those maps one coordinate at a time.
+    """
+
+    __slots__ = ("field", "shape", "subsets", "_pows")
 
     def __init__(self, field: Field, shape: BoxShape, subsets: Sequence[Sequence[int]]):
         subsets = tuple(tuple(s) for s in subsets)
@@ -75,32 +81,61 @@ class CartesianGrid:
         self.field = field
         self.shape = shape
         self.subsets = subsets
-        self.points = tuple(itertools.product(*subsets))
-        # _pows[i][j][e] = subsets[i][j] ** e for e up to d_i - 1
-        self._pows = tuple(
-            tuple(
-                tuple(field.pow(g, e) for e in range(shape.d[i]))
-                for g in subsets[i]
-            )
-            for i in range(shape.m)
-        )
+        # _pows[i][j][e] = subsets[i][j] ** e for e up to d_i - 1.  Lists, not
+        # tuple(generator): CPython builds such a tuple by resizing, and once
+        # freed it parks in the free list of its final size, which grows to
+        # 2,000 tuples a size as grids are built and dropped.
+        self._pows = [
+            [[field.pow(g, e) for e in range(d)] for g in sub]
+            for d, sub in zip(shape.d, subsets)
+        ]
 
     def monomial_values(self, exp) -> tuple:
-        """Values of x^exp at every grid point, in point order."""
-        self.shape.require_point(tuple(exp))
-        field = self.field
-        pows = self._pows
-        out = []
-        for idx in itertools.product(*(range(s) for s in self.shape.d)):
-            v = 1
-            for i, j in enumerate(idx):
-                e = exp[i]
-                if e:
-                    v = field.mul(v, pows[i][j][e])
-                    if not v:
-                        break
-            out.append(v)
+        """Values of x^exp at every grid point, in point order: the outer
+        product of the columns [a^e_i for a in A_i], last coordinate fastest."""
+        exp = tuple(exp)
+        self.shape.require_point(exp)
+        mul = self.field.mul
+        out = [1]
+        for e, pows in zip(exp, self._pows):
+            if e:
+                column = [row[e] for row in pows]
+                out = [mul(v, x) for v in out for x in column]
+            else:
+                out = [v for v in out for _ in pows]
         return tuple(out)
+
+    def evaluate(self, terms: dict) -> tuple:
+        """Values of sum c_e x^e over `terms` = {e: c} at every grid point,
+        in point order; exponents must lie in the box.
+
+        Stage i replaces exponent e_i by point index j_i in a sparse table
+        keyed by (position of the first i coordinates, remaining exponents),
+        so a stage costs (distinct keys) * d_i products.  The last stage
+        adds straight into the n values, about n * (distinct last
+        exponents) products in all.
+        """
+        add, mul = self.field.add, self.field.mul
+        table = {(0, e): c for e, c in terms.items()}
+        *heads, last = self._pows
+        for pows in heads:
+            d = len(pows)
+            step: dict = {}
+            for (pos, exp), c in table.items():
+                e, rest = exp[0], exp[1:]
+                pos *= d
+                for j, row in enumerate(pows, pos):
+                    key = (j, rest)
+                    step[key] = add(step.get(key, 0), mul(c, row[e]))
+            table = step
+        d = len(last)
+        values = [0] * self.shape.n
+        for (pos, (e,)), c in table.items():
+            if c:
+                pos *= d
+                for j, row in enumerate(last, pos):
+                    values[j] = add(values[j], mul(c, row[e]))
+        return tuple(values)
 
     def __repr__(self) -> str:
         return f"CartesianGrid(GF({self.field.q}), {self.shape.d})"

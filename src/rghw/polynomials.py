@@ -122,15 +122,7 @@ def evaluate_on_grid(f: MultiPoly, grid: "CartesianGrid") -> tuple:
     """Values of f at every grid point, in grid point order."""
     if f.shape != grid.shape or f.field != grid.field:
         raise ShapeMismatch("polynomial and grid disagree on box shape or field")
-    field = grid.field
-    values = [0] * grid.shape.n
-    for exp, c in f.terms.items():
-        mono = grid.monomial_values(exp)
-        for idx in range(len(values)):
-            v = mono[idx]
-            if v:
-                values[idx] = field.add(values[idx], field.mul(c, v))
-    return tuple(values)
+    return grid.evaluate(f.terms)
 
 
 def common_zero_count(fs: Sequence[MultiPoly], grid: "CartesianGrid") -> int:

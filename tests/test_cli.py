@@ -320,6 +320,11 @@ def test_invalid_inputs_exit_2(capsys):
          "--oracle", "--budget-states", "-5"),
         ("hierarchy", "--q", "3", "--sizes", "2,2", "--u1", "1", "--u2", "-1",
          "--oracle", "--budget-states", "0"),
+        # the budget is checked without --oracle too
+        ("hierarchy", "--q", "3", "--sizes", "2,2", "--u1", "1", "--u2", "-1",
+         "--budget-states", "-5", "--budget-seconds", "-9"),
+        ("hierarchy", "--q", "3", "--sizes", "2,2", "--u1", "1", "--u2", "-1",
+         "--budget-seconds", "-1"),
         ("verify", "--q-list", ""),
         ("verify", "--max-n", "-1"),
         ("verify", "--q-list", "2", "--shapes", "2", "--footprint", "-3"),

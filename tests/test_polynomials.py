@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from rghw.polynomials import (
     maximal_family,
     random_poly,
 )
+from rghw.weights import WeightQuery, rghw
 
 F2 = Field(2)
 F3 = Field(3)
@@ -95,7 +97,7 @@ def test_evaluation_matches_brute():
     for _ in range(25):
         f = random_poly(F4, grid.shape, rng)
         values = evaluate_on_grid(f, grid)
-        for pos, point in enumerate(grid.points):
+        for pos, point in enumerate(itertools.product(*grid.subsets)):
             assert values[pos] == brute.brute_eval(F4, f.terms, point)
 
 
@@ -154,3 +156,49 @@ def test_random_poly_seeded_and_valid():
         for exp, c in f.terms.items():
             assert shape.contains(exp)
             assert 1 <= c < 4
+
+
+def random_grid(field, sizes, rng):
+    """Grid over `sizes` on random subsets, so the points are not just the
+    lowest encodings."""
+    return build_grid(field, sizes, subsets=[rng.sample(range(field.q), s) for s in sizes])
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 101, 257, 4, 8, 9, 27, 256, 1024])
+def test_grid_evaluation_matches_brute_on_dense_polynomials(q):
+    # every box exponent is a term with probability 0.6; sides of 1 and the
+    # zero polynomial included
+    field = Field(q)
+    rng = random.Random(q)
+    for m in (1, 2, 3):
+        for sizes in ([1] * m, [rng.randint(1, min(q, 5)) for _ in range(m)]):
+            grid = random_grid(field, sizes, rng)
+            points = list(itertools.product(*grid.subsets))
+            box = brute.box_points(grid.shape.d)
+            terms = {e: rng.randrange(1, q) for e in box if rng.random() < 0.6}
+            for f in (MultiPoly(field, grid.shape, terms), MultiPoly(field, grid.shape, {})):
+                values = evaluate_on_grid(f, grid)
+                assert values == tuple(brute.brute_eval(field, f.terms, x) for x in points)
+            for e in box:
+                assert grid.monomial_values(e) == tuple(brute.brute_eval(field, {e: 1}, x) for x in points)
+
+
+def test_common_zero_count_matches_brute_count():
+    rng = random.Random(3)
+    for q, sizes in ((2, (2, 2)), (3, (3, 2)), (4, (2, 2, 2)), (9, (3, 4)), (27, (2, 3, 4))):
+        field = Field(q)
+        grid = random_grid(field, sizes, rng)
+        points = list(itertools.product(*grid.subsets))
+        for _ in range(10):
+            fs = [random_poly(field, grid.shape, rng) for _ in range(rng.randint(1, 3))]
+            zeros = sum(all(brute.brute_eval(field, f.terms, x) == 0 for f in fs) for x in points)
+            assert common_zero_count(fs, grid) == zeros
+
+
+@pytest.mark.parametrize("q,sizes", [(256, (30, 40)), (1024, (10, 10))])
+def test_maximal_family_attains_weight_at_large_scale(q, sizes):
+    grid = build_grid(Field(q), sizes)
+    band = DegreeBand(-1, 6)
+    for r in range(1, 6):
+        zeros = common_zero_count(maximal_family(grid, band, r), grid)
+        assert grid.shape.n - zeros == rghw(WeightQuery(grid.shape, band, r)).m_r
