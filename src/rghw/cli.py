@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import sys
+from math import prod
 from random import Random
 
 from .boxcomb import BoxShape, DegreeBand, band_size, check_band
@@ -42,20 +44,22 @@ def parse_ints(text: str, what: str) -> list[int]:
         raise ValueError(f"cannot parse {what} from {text!r}") from None
 
 
-def parse_subsets(text: str) -> list[list[int]]:
-    return [parse_ints(piece, "subset") for piece in text.split(";")]
-
-
-def parse_shapes(text: str) -> list[tuple]:
-    return [tuple(parse_ints(piece, "sizes")) for piece in text.split(";")]
-
-
-def _warn(message: str) -> None:
-    print(message, file=sys.stderr)
-
-
 def _budget(args) -> OracleBudget:
     return OracleBudget(max_states=args.budget_states, time_cap=args.budget_seconds)
+
+
+def _code_query(args):
+    """(field, sizes, subsets, shape, band) of the code options, checked in
+    this order; a reordering of the sizes is warned about on stderr."""
+    field = Field(args.q)
+    sizes = parse_ints(args.sizes, "sizes")
+    subsets = None
+    if args.subsets:
+        subsets = [parse_ints(piece, "subset") for piece in args.subsets.split(";")]
+    shape = check_sizes(field, sizes, subsets, warn=lambda text: print(text, file=sys.stderr))
+    band = DegreeBand(args.u2, args.u1)
+    check_band(shape, band)
+    return field, sizes, subsets, shape, band
 
 
 # -- output helpers -----------------------------------------------------------------
@@ -116,13 +120,7 @@ def _print_hierarchy(q, shape, band, records, fmt, oracle) -> None:
 
 
 def cmd_hierarchy(args) -> int:
-    q = args.q
-    field = Field(q)
-    sizes = parse_ints(args.sizes, "sizes")
-    subsets = parse_subsets(args.subsets) if args.subsets else None
-    shape = check_sizes(field, sizes, subsets, warn=_warn)
-    band = DegreeBand(args.u2, args.u1)
-    check_band(shape, band)
+    field, sizes, subsets, shape, band = _code_query(args)
     budget = _budget(args)  # checked with or without --oracle
     if args.r is not None:
         records = [rghw(WeightQuery(shape, band, args.r))]
@@ -136,18 +134,12 @@ def cmd_hierarchy(args) -> int:
             dataclasses.replace(rec, oracle=oracle_rghw_support(c1, c2, rec.r, budget).value)
             for rec in records
         ]
-    _print_hierarchy(q, shape, band, records, args.format, args.oracle)
+    _print_hierarchy(field.q, shape, band, records, args.format, args.oracle)
     return 0
 
 
 def cmd_maximal(args) -> int:
-    q = args.q
-    field = Field(q)
-    sizes = parse_ints(args.sizes, "sizes")
-    subsets = parse_subsets(args.subsets) if args.subsets else None
-    shape = check_sizes(field, sizes, subsets, warn=_warn)
-    band = DegreeBand(args.u2, args.u1)
-    check_band(shape, band)
+    field, sizes, subsets, shape, band = _code_query(args)
     record = rghw(WeightQuery(shape, band, args.r))
     grid = build_grid(field, sizes, subsets=subsets, policy=args.policy)
     family = maximal_family(grid, band, args.r)
@@ -156,7 +148,7 @@ def cmd_maximal(args) -> int:
     if args.format == "json":
         obj = {
             "query": {
-                "q": q,
+                "q": field.q,
                 "sizes": list(shape.d),
                 "u1": band.u1,
                 "u2": band.u2,
@@ -178,7 +170,7 @@ def cmd_maximal(args) -> int:
             ],
         )
     else:
-        print(f"q={q} sizes={list(shape.d)} u1={band.u1} u2={band.u2} r={args.r}")
+        print(f"q={field.q} sizes={list(shape.d)} u1={band.u1} u2={band.u2} r={args.r}")
         for i, f in enumerate(family):
             print(f"f_{i + 1} = {f.render()}")
         print(f"common zeros = {zeros}")
@@ -193,7 +185,6 @@ def run_verify_grid(
     max_n: int = 9,
     window_max_n: int = 9,
     budget: OracleBudget | None = None,
-    corrupt: bool = False,
 ):
     """Formula-vs-oracle sweep.  Returns (rows, summary); each row is a dict
     keyed by VERIFY_COLUMNS: the tuple parameters, the formula value, the
@@ -219,8 +210,6 @@ def run_verify_grid(
                     ell = band_size(shape, band)
                     for r in range(1, ell + 1):
                         formula = rghw(WeightQuery(shape, band, r)).m_r
-                        if corrupt:
-                            formula += 1
                         support = window = None
                         skipped = False
                         try:
@@ -253,16 +242,13 @@ def run_footprint_sweep(q: int, count: int, seed: int):
     checks |common zeros| <= footprint bound of the leading exponents.
     Returns (checked, violations)."""
     field = Field(q)
-    shapes = []
-
-    def grow(prefix, product):
-        for s in range(prefix[-1] if prefix else 2, min(q, FOOTPRINT_MAX_N) + 1):
-            if product * s > FOOTPRINT_MAX_N:
-                break
-            shapes.append(tuple(prefix + [s]))
-            grow(prefix + [s], product * s)
-
-    grow([], 1)
+    sides = range(2, min(q, FOOTPRINT_MAX_N) + 1)
+    shapes = sorted(  # a box of m sides >= 2 has at least 2**m points
+        sizes
+        for m in range(1, FOOTPRINT_MAX_N.bit_length())
+        for sizes in itertools.combinations_with_replacement(sides, m)
+        if prod(sizes) <= FOOTPRINT_MAX_N
+    )
     grids = {sizes: build_grid(field, sizes) for sizes in shapes}
     rng = Random(seed)
     violations = []
@@ -281,19 +267,13 @@ def run_footprint_sweep(q: int, count: int, seed: int):
 
 def cmd_verify(args) -> int:
     qs = parse_ints(args.q_list, "q list")
-    shapes = parse_shapes(args.shapes)
+    shapes = [tuple(parse_ints(piece, "sizes")) for piece in args.shapes.split(";")]
     for sizes in shapes:
         BoxShape(sizes)  # validates positivity early
     if args.footprint < 0:
         raise ValueError(f"footprint family count {args.footprint} is negative")
-    budget = _budget(args)
     rows, summary = run_verify_grid(
-        qs,
-        shapes,
-        max_n=args.max_n,
-        window_max_n=args.window_max_n,
-        budget=budget,
-        corrupt=args.corrupt_formula,
+        qs, shapes, max_n=args.max_n, window_max_n=args.window_max_n, budget=_budget(args)
     )
     footprint_lines = []
     if args.footprint:
@@ -372,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--window-max-n", type=int, default=9)
     v.add_argument("--footprint", type=int, default=0, help="random families per field")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--corrupt-formula", action="store_true", help=argparse.SUPPRESS)
     _add_common(v)
     v.set_defaults(func=cmd_verify)
     for sub in (h, v):  # the subcommands that run an oracle

@@ -171,15 +171,14 @@ def build_grid(
     sizes: Iterable[int],
     subsets: Sequence[Sequence[int]] | None = None,
     policy: str = "first",
-    warn=None,
 ) -> CartesianGrid:
     """Grid over `sizes`; sizes are normalized ascending (the permutation is
-    applied to explicit subsets too, and reported through `warn`).
+    applied to explicit subsets too).
 
     policy picks default subsets when none are given: "first" takes the
     lowest d_i encodings of the field, "last" the highest.
     """
-    shape = check_sizes(field, tuple(sizes), subsets, warn)
+    shape = check_sizes(field, tuple(sizes), subsets)
     if subsets is not None:
         chosen = [subsets[shape.permutation[i]] for i in range(shape.m)]
     elif policy == "first":

@@ -35,8 +35,8 @@ with each other:
   over families f_1..f_r of monic polynomials with distinct band-degree
   leading exponents, enumerating per-leading-exponent cosets of lower
   terms and combining per-slot zero masks.  It is the one route that
-  checks the common-zeros statement directly; its tables are built
-  afresh on every call, and no state is kept between calls.
+  checks the common-zeros statement directly; its graded-lex order,
+  packing and zero masks are locals of one call.
 
 All enumeration is deterministic (fixed candidate orders, ties broken by
 ascending coefficient encoding), so two runs return identical witnesses.
@@ -108,13 +108,16 @@ class _Meter:
                 )
 
 
-def _check_pair(c1: CartesianCode, c2: CartesianCode | None) -> None:
-    if c2 is None:
-        return
-    if c2.grid.field != c1.grid.field or c2.grid.subsets != c1.grid.subsets:
-        raise InvalidNesting("C1 and C2 live on different grids")
-    if c2.d >= c1.d:
-        raise InvalidNesting(f"u2 = {c2.d} >= u1 = {c1.d}")
+def _check_pair(c1: CartesianCode, c2: CartesianCode | None, r: int) -> None:
+    """C2 (None: the zero code) must lie in C1 on one grid, and r in 1..ell."""
+    if c2 is not None:
+        if c2.grid.field != c1.grid.field or c2.grid.subsets != c1.grid.subsets:
+            raise InvalidNesting("C1 and C2 live on different grids")
+        if c2.d >= c1.d:
+            raise InvalidNesting(f"u2 = {c2.d} >= u1 = {c1.d}")
+    ell = c1.dim - (c2.dim if c2 is not None else 0)
+    if not 1 <= r <= ell:
+        raise RankOutOfRange(f"r = {r} outside 1..{ell}")
 
 
 def _vec_scale(field, c, x):
@@ -135,6 +138,16 @@ def _coset_masks(field, packing: PackedVectors, base, gens, meter: _Meter) -> li
         for c in range(1, field.q):
             vectors += packing.translates(block, packing.pack(_vec_scale(field, c, g)))
     return packing.supports(vectors)
+
+
+def _coset_digits(q: int, enc: int, count: int) -> list:
+    """The generator coefficients of coset vector `enc` as _coset_masks
+    lays them out: digit j of enc in base q is the coefficient of gens[j]."""
+    digits = []
+    for _ in range(count):
+        digits.append(enc % q)
+        enc //= q
+    return digits
 
 
 # -- support route ----------------------------------------------------------------
@@ -169,7 +182,6 @@ class _SupportSearch:
         )
         self.g2rows = tuple(c2.G) if c2 is not None else ()
         self.ell = len(self.wrows)
-        self.qpow = tuple(field.q**j for j in range(self.ell + len(self.g2rows)))
         packing = PackedVectors(field.p, field.e, c1.length)
         self.row_masks = packing.supports([packing.pack(v) for v in self.wrows])
         self.candidates = []
@@ -205,9 +217,8 @@ class _SupportSearch:
     def row_vector(self, p: int, enc: int):
         field = self.field
         vec = self.wrows[p]
-        gens = list(self.wrows[p + 1 :]) + list(self.g2rows)
-        for j, g in enumerate(gens):
-            c = (enc // self.qpow[j]) % field.q
+        gens = self.wrows[p + 1 :] + self.g2rows
+        for c, g in zip(_coset_digits(field.q, enc, len(gens)), gens):
             if c:
                 vec = tuple(map(field.add, vec, _vec_scale(field, c, g)))
         return vec
@@ -299,10 +310,7 @@ def oracle_rghw_support(
     """Exact min |supp(D)| over r-dim subspaces D of C1 with trivial
     intersection with C2 (C2 = None means the zero code)."""
     global _held
-    _check_pair(c1, c2)
-    ell = c1.dim - (c2.dim if c2 is not None else 0)
-    if not 1 <= r <= ell:
-        raise RankOutOfRange(f"r = {r} outside 1..{ell}")
+    _check_pair(c1, c2, r)
     meter = _Meter(budget or OracleBudget())
     if _held is not None and _held[0] is c1 and _held[1] is c2:
         search = _held[2]
@@ -339,10 +347,7 @@ def oracle_rghw_window(
     and popping them on backtrack, so a window costs O(1) reductions.  A
     coordinate raises the gap by at most 1, so a subtree that cannot reach
     r is charged its windows without reducing anything."""
-    _check_pair(c1, c2)
-    ell = c1.dim - (c2.dim if c2 is not None else 0)
-    if not 1 <= r <= ell:
-        raise RankOutOfRange(f"r = {r} outside 1..{ell}")
+    _check_pair(c1, c2, r)
     meter = _Meter(budget or OracleBudget())
     field = c1.grid.field
     add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
@@ -413,49 +418,6 @@ def oracle_rghw_window(
 # -- families route ---------------------------------------------------------------
 
 
-class _FamiliesTable:
-    """Zero masks for monic leading exponents on one grid.
-
-    For a leading exponent t, the coset {x^t + lower terms} runs over all
-    coefficient choices on box exponents strictly below t in graded lex
-    (ascending degree, each degree ascending lex); masks_for(t) maps each
-    achievable zero mask (grid positions where the polynomial vanishes,
-    as PackedVectors support bits) to the first encoding achieving it."""
-
-    def __init__(self, grid: CartesianGrid):
-        self.grid = grid
-        shape = grid.shape
-        self.glex = [
-            e for t in range(shape.k + 1)
-            for e in reversed(enumerate_band(shape, DegreeBand(t - 1, t)))
-        ]
-        self.glex_rank = {e: i for i, e in enumerate(self.glex)}
-        self.packing = PackedVectors(grid.field.p, grid.field.e, shape.n)
-
-    def preds(self, t) -> list:
-        return self.glex[: self.glex_rank[t]]
-
-    def masks_for(self, t, meter: _Meter) -> dict:
-        base = self.grid.monomial_values(t)
-        gens = [self.grid.monomial_values(mu) for mu in self.preds(t)]
-        zero_masks: dict = {}
-        full = self.packing.full
-        for enc, support in enumerate(_coset_masks(self.grid.field, self.packing, base, gens, meter)):
-            mask = full ^ support
-            if mask not in zero_masks:
-                zero_masks[mask] = enc
-        return zero_masks
-
-    def poly(self, t, enc: int) -> MultiPoly:
-        field = self.grid.field
-        terms = {t: 1}
-        for j, mu in enumerate(self.preds(t)):
-            c = (enc // field.q**j) % field.q
-            if c:
-                terms[mu] = c
-        return MultiPoly(field, self.grid.shape, terms)
-
-
 def _maximal_masks(masks: dict) -> list:
     """Drop masks strictly contained in another; supersets dominate when
     maximizing the popcount of an AND."""
@@ -477,22 +439,31 @@ def oracle_max_zeros_families(
 ) -> OracleResult:
     """Exact max of |common grid zeros| over families f_1..f_r of monic
     polynomials with distinct leading exponents of band degree (lower
-    terms free).  n - value cross-checks the weight formula."""
-    members = enumerate_band(grid.shape, band)
+    terms free).  n - value cross-checks the weight formula.  The slot of
+    leading exponent t is the coset x^t + span(box monomials before t in
+    graded lex), kept as {zero mask: first encoding reaching it}."""
+    shape, field = grid.shape, grid.field
+    members = enumerate_band(shape, band)
     if not 1 <= r <= len(members):
         raise RankOutOfRange(f"r = {r} outside 1..{len(members)}")
     meter = _Meter(budget or OracleBudget())
-    table = _FamiliesTable(grid)
+    glex = [
+        e for t in range(shape.k + 1)
+        for e in reversed(enumerate_band(shape, DegreeBand(t - 1, t)))
+    ]
+    glex_rank = {e: i for i, e in enumerate(glex)}
+    packing = PackedVectors(field.p, field.e, shape.n)
+    full = packing.full
 
     slots = []
     for t in members:
-        masks = table.masks_for(t, meter)
-        if prune:
-            slots.append(_maximal_masks(masks))
-        else:
-            slots.append(sorted(masks.items(), key=lambda kv: kv[1]))
+        gens = [grid.monomial_values(mu) for mu in glex[: glex_rank[t]]]
+        base = grid.monomial_values(t)
+        zero_masks: dict = {}  # in order of first encoding
+        for enc, support in enumerate(_coset_masks(field, packing, base, gens, meter)):
+            zero_masks.setdefault(full ^ support, enc)
+        slots.append(_maximal_masks(zero_masks) if prune else list(zero_masks.items()))
 
-    full = table.packing.full
     best = -1
     best_pick: list = []
 
@@ -520,10 +491,15 @@ def oracle_max_zeros_families(
 
         descend(0, full)
 
-    witnesses = tuple(table.poly(members[idx], enc) for idx, enc in best_pick)
+    witnesses = []
+    for idx, enc in best_pick:
+        t = members[idx]
+        lower = glex[: glex_rank[t]]
+        terms = {t: 1, **dict(zip(lower, _coset_digits(field.q, enc, len(lower))))}
+        witnesses.append(MultiPoly(field, shape, terms))
     return OracleResult(
         value=best,
-        witnesses=witnesses,
+        witnesses=tuple(witnesses),
         states_explored=meter.states,
         method="families",
     )

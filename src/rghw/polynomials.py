@@ -92,30 +92,33 @@ class MultiPoly:
         return f"MultiPoly({self.render()!r} over GF({self.field.q}))"
 
 
-def _times_linear(poly: MultiPoly, i: int, gamma: int) -> MultiPoly:
-    """poly * (x_i - gamma).  Exponent i must stay inside the box."""
-    f = poly.field
-    neg_gamma = f.neg(gamma)
-    terms: dict = {}
-    for exp, c in poly.terms.items():
-        up = exp[:i] + (exp[i] + 1,) + exp[i + 1 :]
-        terms[up] = f.add(terms.get(up, 0), c)
-        if neg_gamma:
-            terms[exp] = f.add(terms.get(exp, 0), f.mul(c, neg_gamma))
-    return MultiPoly(f, poly.shape, terms)
-
-
 def make_maximal_poly(grid: "CartesianGrid", b) -> MultiPoly:
     """The canonical degree-|b| polynomial with leading exponent b that
-    vanishes on every grid point whose index tuple does not dominate b."""
+    vanishes on every grid point whose index tuple does not dominate b.
+
+    Each coordinate's factor prod_{j < b_i} (x - A_i[j]) is multiplied out
+    as a coefficient list (lowest degree first); the product over the
+    coordinates is their outer product."""
     b = tuple(b)
     shape = grid.shape
     shape.require_point(b)
-    poly = MultiPoly(grid.field, shape, {(0,) * shape.m: 1})
-    for i in range(shape.m):
-        for j in range(b[i]):
-            poly = _times_linear(poly, i, grid.subsets[i][j])
-    return poly
+    field = grid.field
+    terms = {(): 1}
+    for bi, subset in zip(b, grid.subsets):
+        factor = [1]
+        for gamma in subset[:bi]:  # factor *= (x - gamma)
+            neg_gamma = field.neg(gamma)
+            factor = [
+                field.add(shifted, field.mul(neg_gamma, kept))
+                for shifted, kept in zip([0] + factor, factor + [0])
+            ]
+        terms = {
+            exp + (e,): field.mul(c, fc)
+            for exp, c in terms.items()
+            for e, fc in enumerate(factor)
+            if fc
+        }
+    return MultiPoly(field, shape, terms)
 
 
 def evaluate_on_grid(f: MultiPoly, grid: "CartesianGrid") -> tuple:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import itertools
@@ -259,13 +260,17 @@ def test_verify_json_schema(capsys):
     assert all(r["status"] == "OK" for r in obj["grid"])
 
 
-def test_verify_corrupt_formula_fails(capsys):
-    code, out, err = run_cli(
-        capsys,
-        "verify", "--q-list", "2", "--shapes", "2,2", "--corrupt-formula",
-    )
+def test_verify_corrupt_formula_fails(capsys, monkeypatch):
+    def off_by_one(query):
+        record = weights.rghw(query)
+        return dataclasses.replace(record, m_r=record.m_r + 1)
+
+    monkeypatch.setattr(cli, "rghw", off_by_one)
+    code, out, err = run_cli(capsys, "verify", "--q-list", "2", "--shapes", "2,2")
     assert code == 1
-    assert "MISMATCH" in out
+    *rows, summary = out.splitlines()
+    assert rows and all(row.endswith(" MISMATCH") for row in rows)
+    assert summary == f"summary: 0 OK, {len(rows)} MISMATCH, 0 SKIPPED"
 
 
 def test_verify_budget_skips_but_passes(capsys):

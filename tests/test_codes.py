@@ -6,7 +6,7 @@ import pytest
 import brute
 from rghw.boxcomb import BoxShape, DegreeBand, band_size, enumerate_band
 from rghw.cli import DEFAULT_GRID_QS, DEFAULT_GRID_SHAPES
-from rghw.codes import CartesianGrid, build_code, build_grid, rref
+from rghw.codes import CartesianGrid, build_code, build_grid, check_sizes, rref
 from rghw.errors import (
     DegreeOutOfRange,
     DuplicateElements,
@@ -46,10 +46,9 @@ def test_grid_policies():
 
 def test_grid_explicit_subsets_follow_sort_permutation():
     messages = []
-    grid = build_grid(
-        F3, (3, 2), subsets=[(0, 1, 2), (0, 2)], warn=messages.append
-    )
-    assert grid.shape.d == (2, 3)
+    shape = check_sizes(F3, (3, 2), [(0, 1, 2), (0, 2)], warn=messages.append)
+    grid = build_grid(F3, (3, 2), subsets=[(0, 1, 2), (0, 2)])
+    assert shape.d == grid.shape.d == (2, 3)
     assert grid.subsets == ((0, 2), (0, 1, 2))
     assert len(messages) == 1
     assert "permutation [1, 0]" in messages[0]

@@ -91,6 +91,38 @@ def test_maximal_poly_leading_term_and_zero_set(q, sizes, policy):
                 assert values[pos] == 0
 
 
+def _schoolbook_maximal(grid, b):
+    """prod_i prod_{j < b_i} (x_i - A_i[j]) multiplied out one linear factor
+    at a time on the reference field arithmetic of brute.py."""
+    field = grid.field
+    terms = {(0,) * len(b): 1}
+    for i, bi in enumerate(b):
+        for gamma in grid.subsets[i][:bi]:
+            neg_gamma = brute.field_neg(field, gamma)
+            out = {}
+            for exp, c in terms.items():
+                up = exp[:i] + (exp[i] + 1,) + exp[i + 1 :]
+                out[up] = brute.field_add(field, out.get(up, 0), c)
+                lower = brute.field_mul(field, c, neg_gamma)
+                out[exp] = brute.field_add(field, out.get(exp, 0), lower)
+            terms = out
+    return {exp: c for exp, c in terms.items() if c}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27, 101, 256, 1024])
+def test_maximal_poly_matches_schoolbook_expansion(q):
+    field = Field(q)
+    rng = random.Random(q)
+    for policy in ("first", "last", None):  # None: random explicit subsets
+        sizes = [rng.randint(1, min(q, 5)) for _ in range(rng.randint(1, 3))]
+        subsets = None if policy else [rng.sample(range(q), d) for d in sizes]
+        grid = build_grid(field, sizes, subsets=subsets, policy=policy or "first")
+        for b in itertools.product(*map(range, grid.shape.d)):
+            assert make_maximal_poly(grid, b).terms == _schoolbook_maximal(grid, b), (
+                grid.subsets, b
+            )
+
+
 def test_evaluation_matches_brute():
     grid = build_grid(F4, (2, 3))
     rng = random.Random(7)
