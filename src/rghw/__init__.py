@@ -9,7 +9,6 @@ from .boxcomb import (
     BoxShape,
     DegreeBand,
     band_size,
-    enumerate_band,
     footprint,
     iter_band,
     lex_rank_in_leq,
@@ -42,7 +41,6 @@ from .gf import Field
 from .oracle import (
     OracleBudget,
     OracleResult,
-    oracle_max_zeros_families,
     oracle_rghw_support,
     oracle_rghw_window,
 )

@@ -191,11 +191,6 @@ def iter_band(shape: BoxShape, band: DegreeBand) -> Iterator[BoxPoint]:
         prefix += a[i]
 
 
-def enumerate_band(shape: BoxShape, band: DegreeBand) -> list[BoxPoint]:
-    """Band members in descending lexicographic order."""
-    return list(iter_band(shape, band))
-
-
 def nth_band_element(shape: BoxShape, band: DegreeBand, r: int) -> BoxPoint:
     """The r-th member (1-based) of the band in descending lexicographic
     order, digit by digit without enumeration, in O(m log max(d)).

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import itertools
 import json
 import sys
@@ -131,7 +130,7 @@ def cmd_hierarchy(args) -> int:
         c1 = build_code(grid, band.u1)
         c2 = build_code(grid, band.u2) if band.u2 >= 0 else None
         records = [
-            dataclasses.replace(rec, oracle=oracle_rghw_support(c1, c2, rec.r, budget).value)
+            rec._replace(oracle=oracle_rghw_support(c1, c2, rec.r, budget).value)
             for rec in records
         ]
     _print_hierarchy(field.q, shape, band, records, args.format, args.oracle)

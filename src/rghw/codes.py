@@ -69,8 +69,8 @@ class CartesianGrid:
 
     The grid is a product, so the values of sum_e c_e x^e at every point
     are the Kronecker product of the per-coordinate Vandermonde maps
-    [a^e for a in A_i] applied to the coefficients; both evaluators below
-    apply those maps one coordinate at a time.
+    [a^e for a in A_i] applied to the coefficients; `evaluate` applies
+    those maps one coordinate at a time.
     """
 
     __slots__ = ("field", "shape", "subsets", "_pows")
@@ -86,24 +86,16 @@ class CartesianGrid:
         # freed it parks in the free list of its final size, which grows to
         # 2,000 tuples a size as grids are built and dropped.
         self._pows = [
-            [[field.pow(g, e) for e in range(d)] for g in sub]
+            [list(itertools.accumulate(itertools.repeat(g, d - 1), field.mul, initial=1))
+             for g in sub]
             for d, sub in zip(shape.d, subsets)
         ]
 
     def monomial_values(self, exp) -> tuple:
-        """Values of x^exp at every grid point, in point order: the outer
-        product of the columns [a^e_i for a in A_i], last coordinate fastest."""
+        """Values of x^exp at every grid point, in point order."""
         exp = tuple(exp)
         self.shape.require_point(exp)
-        mul = self.field.mul
-        out = [1]
-        for e, pows in zip(exp, self._pows):
-            if e:
-                column = [row[e] for row in pows]
-                out = [mul(v, x) for v in out for x in column]
-            else:
-                out = [v for v in out for _ in pows]
-        return tuple(out)
+        return self.evaluate({exp: 1})
 
     def evaluate(self, terms: dict) -> tuple:
         """Values of sum c_e x^e over `terms` = {e: c} at every grid point,

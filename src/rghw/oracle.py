@@ -1,7 +1,7 @@
 """Independent brute-force oracles for the weight formula.
 
-Three routes, deliberately not sharing logic with the closed formula or
-with each other:
+Two routes, deliberately not sharing logic with the closed formula or
+with each other; `verify` runs both, and `hierarchy --oracle` the first:
 
 * oracle_rghw_support enumerates r-dimensional subspaces D of C1 with
   D intersecting C2 trivially, as graphs over the monomial complement W
@@ -31,18 +31,16 @@ with each other:
   first, with the parity-check columns of J pushed into semi-echelon
   bases incrementally and popped on backtrack (a state is one window).
 
-* oracle_max_zeros_families maximizes the number of common grid zeros
-  over families f_1..f_r of monic polynomials with distinct band-degree
-  leading exponents, enumerating per-leading-exponent cosets of lower
-  terms and combining per-slot zero masks.  It is the one route that
-  checks the common-zeros statement directly; its graded-lex order,
-  packing and zero masks are locals of one call.
+A third route, which maximizes common grid zeros over families of
+monic polynomials directly, is a test reference in tests/brute.py, built
+on `_coset_masks` and `_coset_digits` here.
 
 All enumeration is deterministic (fixed candidate orders, ties broken by
 ascending coefficient encoding), so two runs return identical witnesses.
 Every oracle spends against an OracleBudget and raises BudgetExceeded --
 a hard error, never a wrong answer.  `prune=False` switches off every
-value-preserving shortcut for reference runs on tiny inputs.
+value-preserving shortcut of the support route for reference runs on
+tiny inputs.
 """
 
 from __future__ import annotations
@@ -52,11 +50,9 @@ import time
 from dataclasses import dataclass
 from math import comb
 
-from .boxcomb import DegreeBand, enumerate_band
-from .codes import CartesianCode, CartesianGrid
+from .codes import CartesianCode
 from .errors import BudgetExceeded, InvalidBudget, InvalidNesting, RankOutOfRange
 from .gf import PackedVectors
-from .polynomials import MultiPoly
 
 DEFAULT_MAX_STATES = 10**8
 DEFAULT_TIME_CAP = 300
@@ -296,7 +292,9 @@ class _SupportSearch:
 
 
 # (C1, C2, set-up) of the latest support call, found again by identity;
-# the old set-up is released before a new one is built, so at most one is alive
+# the old set-up is released before a new one is built, so at most one is alive.
+# A caller that alternates pairs therefore rebuilds the set-up on every call;
+# no caller here does (verify and hierarchy each finish one pair first).
 _held = None
 
 
@@ -413,93 +411,3 @@ def oracle_rghw_window(
                 method="window",
             )
     raise AssertionError(f"no window with dimension gap {r}")  # unreachable for valid r
-
-
-# -- families route ---------------------------------------------------------------
-
-
-def _maximal_masks(masks: dict) -> list:
-    """Drop masks strictly contained in another; supersets dominate when
-    maximizing the popcount of an AND."""
-    items = sorted(masks.items(), key=lambda kv: (-kv[0].bit_count(), kv[1]))
-    kept: list = []
-    for mask, enc in items:
-        if any(mask | other == other for other, _ in kept):
-            continue
-        kept.append((mask, enc))
-    return kept
-
-
-def oracle_max_zeros_families(
-    grid: CartesianGrid,
-    band: DegreeBand,
-    r: int,
-    budget: OracleBudget | None = None,
-    prune: bool = True,
-) -> OracleResult:
-    """Exact max of |common grid zeros| over families f_1..f_r of monic
-    polynomials with distinct leading exponents of band degree (lower
-    terms free).  n - value cross-checks the weight formula.  The slot of
-    leading exponent t is the coset x^t + span(box monomials before t in
-    graded lex), kept as {zero mask: first encoding reaching it}."""
-    shape, field = grid.shape, grid.field
-    members = enumerate_band(shape, band)
-    if not 1 <= r <= len(members):
-        raise RankOutOfRange(f"r = {r} outside 1..{len(members)}")
-    meter = _Meter(budget or OracleBudget())
-    glex = [
-        e for t in range(shape.k + 1)
-        for e in reversed(enumerate_band(shape, DegreeBand(t - 1, t)))
-    ]
-    glex_rank = {e: i for i, e in enumerate(glex)}
-    packing = PackedVectors(field.p, field.e, shape.n)
-    full = packing.full
-
-    slots = []
-    for t in members:
-        gens = [grid.monomial_values(mu) for mu in glex[: glex_rank[t]]]
-        base = grid.monomial_values(t)
-        zero_masks: dict = {}  # in order of first encoding
-        for enc, support in enumerate(_coset_masks(field, packing, base, gens, meter)):
-            zero_masks.setdefault(full ^ support, enc)
-        slots.append(_maximal_masks(zero_masks) if prune else list(zero_masks.items()))
-
-    best = -1
-    best_pick: list = []
-
-    for combo in itertools.combinations(range(len(members)), r):
-        pick: list = []
-
-        def descend(depth: int, current: int) -> None:
-            nonlocal best, best_pick
-            for mask, enc in slots[combo[depth]]:
-                meter.spend()
-                if prune and mask.bit_count() <= best:
-                    break
-                merged = current & mask
-                if prune and merged.bit_count() <= best:
-                    continue
-                pick.append((combo[depth], enc))
-                if depth + 1 == r:
-                    total = merged.bit_count()
-                    if total > best:
-                        best = total
-                        best_pick = list(pick)
-                else:
-                    descend(depth + 1, merged)
-                pick.pop()
-
-        descend(0, full)
-
-    witnesses = []
-    for idx, enc in best_pick:
-        t = members[idx]
-        lower = glex[: glex_rank[t]]
-        terms = {t: 1, **dict(zip(lower, _coset_digits(field.q, enc, len(lower))))}
-        witnesses.append(MultiPoly(field, shape, terms))
-    return OracleResult(
-        value=best,
-        witnesses=tuple(witnesses),
-        states_explored=meter.states,
-        method="families",
-    )

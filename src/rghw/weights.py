@@ -16,7 +16,7 @@ combinatorics: no field, no grid, no enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .boxcomb import (
     BoxShape,
@@ -43,8 +43,7 @@ class WeightQuery:
             )
 
 
-@dataclass(frozen=True)
-class WeightRecord:
+class WeightRecord(NamedTuple):
     """One hierarchy row: rank, band element, its rank s among deg <= u1,
     the weight, and n - weight (the attained maximum of common zeros).
     `oracle` is None until an oracle confirmation is attached."""

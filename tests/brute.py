@@ -3,12 +3,14 @@
 Everything here recomputes expected values from definitions, sharing no
 algorithmic shortcuts with the package: shadows by domination scans,
 ranks by sorting full enumerations, subspace minima by enumerating all
-coefficient matrices.  Slow on purpose; only run on tiny inputs.  Two
+coefficient matrices.  Slow on purpose; only run on tiny inputs.  Three
 parts differ: the inclusion-exclusion band counts reach huge boxes in
-closed form (and still share nothing with the package's rank tables),
-and the slice helpers at the end, which the shadow-compression tests
-use, are built on the package's own `shadow`, `enumerate_band` and
-`nth_band_element`.
+closed form (and still share nothing with the package's rank tables);
+the slice helpers, which the shadow-compression tests use, are built on
+the package's own `shadow`, `iter_band` and `nth_band_element`; and the
+families route at the end, the reference that checks the common-zeros
+statement directly, is built on the package's coset enumeration
+(`rghw.oracle._coset_masks`) and budget.
 """
 
 from __future__ import annotations
@@ -17,8 +19,11 @@ import itertools
 from collections import Counter
 from math import comb, prod
 
-from rghw.boxcomb import DegreeBand, enumerate_band, nth_band_element, shadow
-from rghw.errors import ShapeMismatch
+from rghw.boxcomb import DegreeBand, iter_band, nth_band_element, shadow
+from rghw.errors import RankOutOfRange, ShapeMismatch
+from rghw.gf import PackedVectors
+from rghw.oracle import OracleBudget, OracleResult, _coset_digits, _coset_masks, _Meter
+from rghw.polynomials import MultiPoly
 
 
 def box_points(d):
@@ -236,7 +241,7 @@ def footprint_slice(shape, points, u):
 
 def lex_prefix_of_slice(shape, u, count):
     """First `count` members of the degree-u slice, descending lexicographic."""
-    members = enumerate_band(shape, DegreeBand(u - 1, u))
+    members = list(iter_band(shape, DegreeBand(u - 1, u)))
     if count < 0 or count > len(members):
         raise CountOutOfRange(f"count = {count} outside 0..{len(members)} for slice deg = {u}")
     return members[:count]
@@ -247,3 +252,93 @@ def shadow_card_of_leq_prefix(shape, deg_bound, r):
     by the closed formula n - encode(a_r)."""
     a_r = nth_band_element(shape, DegreeBand(-1, deg_bound), r)
     return shape.n - shape.encode(a_r)
+
+
+# -- families route ---------------------------------------------------------------
+
+
+def _maximal_masks(masks: dict) -> list:
+    """Drop masks strictly contained in another; supersets dominate when
+    maximizing the popcount of an AND."""
+    items = sorted(masks.items(), key=lambda kv: (-kv[0].bit_count(), kv[1]))
+    kept: list = []
+    for mask, enc in items:
+        if any(mask | other == other for other, _ in kept):
+            continue
+        kept.append((mask, enc))
+    return kept
+
+
+def oracle_max_zeros_families(
+    grid,
+    band: DegreeBand,
+    r: int,
+    budget: OracleBudget | None = None,
+    prune: bool = True,
+) -> OracleResult:
+    """Exact max of |common grid zeros| over families f_1..f_r of monic
+    polynomials with distinct leading exponents of band degree (lower
+    terms free).  n - value cross-checks the weight formula.  The slot of
+    leading exponent t is the coset x^t + span(box monomials before t in
+    graded lex), kept as {zero mask: first encoding reaching it}."""
+    shape, field = grid.shape, grid.field
+    members = list(iter_band(shape, band))
+    if not 1 <= r <= len(members):
+        raise RankOutOfRange(f"r = {r} outside 1..{len(members)}")
+    meter = _Meter(budget or OracleBudget())
+    glex = [
+        e for t in range(shape.k + 1)
+        for e in reversed(list(iter_band(shape, DegreeBand(t - 1, t))))
+    ]
+    glex_rank = {e: i for i, e in enumerate(glex)}
+    packing = PackedVectors(field.p, field.e, shape.n)
+    full = packing.full
+
+    slots = []
+    for t in members:
+        gens = [grid.monomial_values(mu) for mu in glex[: glex_rank[t]]]
+        base = grid.monomial_values(t)
+        zero_masks: dict = {}  # in order of first encoding
+        for enc, support in enumerate(_coset_masks(field, packing, base, gens, meter)):
+            zero_masks.setdefault(full ^ support, enc)
+        slots.append(_maximal_masks(zero_masks) if prune else list(zero_masks.items()))
+
+    best = -1
+    best_pick: list = []
+
+    for combo in itertools.combinations(range(len(members)), r):
+        pick: list = []
+
+        def descend(depth: int, current: int) -> None:
+            nonlocal best, best_pick
+            for mask, enc in slots[combo[depth]]:
+                meter.spend()
+                if prune and mask.bit_count() <= best:
+                    break
+                merged = current & mask
+                if prune and merged.bit_count() <= best:
+                    continue
+                pick.append((combo[depth], enc))
+                if depth + 1 == r:
+                    total = merged.bit_count()
+                    if total > best:
+                        best = total
+                        best_pick = list(pick)
+                else:
+                    descend(depth + 1, merged)
+                pick.pop()
+
+        descend(0, full)
+
+    witnesses = []
+    for idx, enc in best_pick:
+        t = members[idx]
+        lower = glex[: glex_rank[t]]
+        terms = {t: 1, **dict(zip(lower, _coset_digits(field.q, enc, len(lower))))}
+        witnesses.append(MultiPoly(field, shape, terms))
+    return OracleResult(
+        value=best,
+        witnesses=tuple(witnesses),
+        states_explored=meter.states,
+        method="families",
+    )

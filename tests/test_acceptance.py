@@ -15,7 +15,7 @@ from rghw.boxcomb import (
     BoxShape,
     DegreeBand,
     band_size,
-    enumerate_band,
+    iter_band,
     shadow,
 )
 from rghw.cli import run_footprint_sweep, run_verify_grid
@@ -96,7 +96,7 @@ def all_bands(shape):
 
 
 def slice_members(shape, u):
-    return enumerate_band(shape, DegreeBand(u - 1, u))
+    return list(iter_band(shape, DegreeBand(u - 1, u)))
 
 
 def subsets_of(items):
@@ -191,7 +191,7 @@ def test_criterion_4_shadow_compression_battery(report):
                     checks += 1
 
         for band in all_bands(shape):
-            members = enumerate_band(shape, band)
+            members = list(iter_band(shape, band))
             for r in range(1, len(members) + 1):
                 N = members[:r]
                 N_top = [a for a in N if sum(a) == band.u1]

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import importlib
 import itertools
@@ -263,7 +262,7 @@ def test_verify_json_schema(capsys):
 def test_verify_corrupt_formula_fails(capsys, monkeypatch):
     def off_by_one(query):
         record = weights.rghw(query)
-        return dataclasses.replace(record, m_r=record.m_r + 1)
+        return record._replace(m_r=record.m_r + 1)
 
     monkeypatch.setattr(cli, "rghw", off_by_one)
     code, out, err = run_cli(capsys, "verify", "--q-list", "2", "--shapes", "2,2")

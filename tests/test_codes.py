@@ -4,7 +4,7 @@ import sys
 import pytest
 
 import brute
-from rghw.boxcomb import BoxShape, DegreeBand, band_size, enumerate_band
+from rghw.boxcomb import BoxShape, DegreeBand, band_size, iter_band
 from rghw.cli import DEFAULT_GRID_QS, DEFAULT_GRID_SHAPES
 from rghw.codes import CartesianGrid, build_code, build_grid, check_sizes, rref
 from rghw.errors import (
@@ -101,7 +101,7 @@ def test_code_dimensions_and_basis_order():
             code = build_code(grid, d)
             assert code.length == grid.shape.n
             assert code.dim == band_size(grid.shape, DegreeBand(-1, d))
-            assert list(code.basis) == enumerate_band(grid.shape, DegreeBand(-1, d))
+            assert list(code.basis) == list(iter_band(grid.shape, DegreeBand(-1, d)))
             for row, exp in zip(code.G, code.basis):
                 assert row == grid.monomial_values(exp)
 

@@ -6,7 +6,8 @@ import tracemalloc
 import pytest
 
 import brute
-from rghw.boxcomb import BoxShape, DegreeBand, band_size, enumerate_band
+from brute import oracle_max_zeros_families
+from rghw.boxcomb import BoxShape, DegreeBand, band_size, iter_band
 from rghw.cli import DEFAULT_GRID_QS, DEFAULT_GRID_SHAPES
 from rghw.codes import build_code, build_grid
 from rghw.errors import BudgetExceeded, InvalidNesting, RankOutOfRange
@@ -15,7 +16,6 @@ from rghw.oracle import (
     OracleBudget,
     _coset_masks,
     _Meter,
-    oracle_max_zeros_families,
     oracle_rghw_support,
     oracle_rghw_window,
 )
@@ -64,7 +64,7 @@ def check_families_witness(result, grid, band, r):
     assert len(fams) == r
     exps = [f.leading_term().exponent for f in fams]
     assert len(set(exps)) == r
-    members = set(enumerate_band(grid.shape, band))
+    members = set(iter_band(grid.shape, band))
     for f in fams:
         lt = f.leading_term()
         assert lt.coefficient == 1

@@ -2,9 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brute
-from rghw.boxcomb import BoxShape, DegreeBand, enumerate_band, footprint
+from rghw.boxcomb import BoxShape, DegreeBand, band_size, footprint, iter_band
 from rghw.codes import build_grid
 from rghw.errors import EmptyFamily, RankOutOfRange, ShapeMismatch
 from rghw.gf import Field
@@ -166,7 +168,7 @@ def test_footprint_count_matches_brute():
 def test_maximal_family_leading_exponents():
     grid = build_grid(F3, (2, 3))
     band = DegreeBand(0, 2)
-    members = enumerate_band(grid.shape, band)
+    members = list(iter_band(grid.shape, band))
     fam = maximal_family(grid, band, len(members))
     assert [f.leading_term().exponent for f in fam] == members
     assert all(f.leading_term().coefficient == 1 for f in fam)
@@ -234,3 +236,36 @@ def test_maximal_family_attains_weight_at_large_scale(q, sizes):
     for r in range(1, 6):
         zeros = common_zero_count(maximal_family(grid, band, r), grid)
         assert grid.shape.n - zeros == rghw(WeightQuery(grid.shape, band, r)).m_r
+
+
+@st.composite
+def attainment_queries(draw):
+    """(grid, band, r): q in {2, 3, 4, 5, 7, 8, 9}, sides 1..q in any order
+    with n <= 64, explicit random subsets or either policy, any band of the
+    box and any rank of it."""
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9)))
+    field = Field(q)
+    sizes = []
+    n = 1
+    for _ in range(draw(st.integers(1, 6))):
+        sizes.append(draw(st.integers(1, min(q, 64 // n))))
+        n *= sizes[-1]
+    points = draw(st.sampled_from(("first", "last", "explicit")))
+    if points == "explicit":
+        subsets = [draw(st.permutations(range(q)))[:s] for s in sizes]
+        grid = build_grid(field, sizes, subsets=subsets)
+    else:
+        grid = build_grid(field, sizes, policy=points)
+    k = grid.shape.k
+    u1 = draw(st.integers(0, k))
+    band = DegreeBand(draw(st.integers(-1, u1 - 1)), u1)
+    r = draw(st.integers(1, band_size(grid.shape, band)))
+    return grid, band, r
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(attainment_queries())
+def test_maximal_family_attains_weight_on_random_grids(query):
+    grid, band, r = query
+    zeros = common_zero_count(maximal_family(grid, band, r), grid)
+    assert grid.shape.n - zeros == rghw(WeightQuery(grid.shape, band, r)).m_r

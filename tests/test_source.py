@@ -1,0 +1,130 @@
+"""Static checks on the package source: no dead helpers, no unused imports.
+
+A module-level function or class, or a method, that nothing in the
+package names and that `rghw/__init__.py` does not re-export is dead
+code; so is an imported name that its module never uses.  Dunder methods
+are called by Python itself and are exempt, as are the re-exports of
+`__init__.py`.  A name that appears only in a string annotation counts
+as used.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import rghw
+
+PACKAGE = Path(rghw.__file__).parent
+
+
+def parsed_modules() -> dict:
+    paths = sorted(PACKAGE.glob("*.py"))
+    return {path.name: ast.parse(path.read_text(), str(path)) for path in paths}
+
+
+def string_annotation_names(tree) -> set:
+    """Names inside annotations written as string literals."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
+                if arg is not None and arg.annotation is not None:
+                    annotations.append(arg.annotation)
+            if node.returns is not None:
+                annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names = set()
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                expr = ast.parse(node.value, mode="eval")
+                names |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return names
+
+
+def used_names(tree) -> set:
+    """Every name read as a variable or an attribute, or in a string annotation."""
+    names = string_annotation_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def imported_names(tree) -> dict:
+    """{bound name: line} of the module's imports, `__future__` excepted."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def definitions(tree):
+    """(name, line) of every module-level function and class and every method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item.name, item.lineno
+
+
+def dead_definitions(modules: dict) -> list:
+    used = set().union(*(used_names(tree) for tree in modules.values()))
+    exported = set(imported_names(modules["__init__.py"]))
+    # a name imported from another module of the package counts as a use there
+    for name, tree in modules.items():
+        if name != "__init__.py":
+            used |= set(imported_names(tree))
+    dead = []
+    for name, tree in modules.items():
+        for defined, line in definitions(tree):
+            dunder = defined.startswith("__") and defined.endswith("__")
+            if not dunder and defined not in used and defined not in exported:
+                dead.append(f"{name}:{line} {defined}")
+    return dead
+
+
+def unused_imports(modules: dict) -> list:
+    unused = []
+    for name, tree in modules.items():
+        if name == "__init__.py":  # its imports are the public API
+            continue
+        used = used_names(tree)
+        for bound, line in imported_names(tree).items():
+            if bound not in used:
+                unused.append(f"{name}:{line} {bound}")
+    return unused
+
+
+def test_no_dead_helpers():
+    assert dead_definitions(parsed_modules()) == []
+
+
+def test_no_unused_imports():
+    assert unused_imports(parsed_modules()) == []
+
+
+def test_checks_catch_what_they_look_for():
+    source = (
+        "from .polynomials import MultiPoly\n"
+        "from .codes import CartesianGrid\n"
+        "def _helper():\n    return 1\n"
+        "def used(grid: 'CartesianGrid'):\n    return grid\n"
+        "class Thing:\n    def spare(self):\n        return used\n"
+        "    def __repr__(self):\n        return ''\n"
+    )
+    modules = {"__init__.py": ast.parse("from .m import used\n"), "m.py": ast.parse(source)}
+    assert dead_definitions(modules) == ["m.py:3 _helper", "m.py:7 Thing", "m.py:8 spare"]
+    assert unused_imports(modules) == ["m.py:1 MultiPoly"]
