@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     DegreeTooHigh,
@@ -103,18 +102,17 @@ class BoxShape:
         return f"BoxShape{self.d}"
 
 
-@dataclass(frozen=True)
-class DegreeBand:
+class DegreeBand(NamedTuple("DegreeBand", [("u2", int), ("u1", int)])):
     """Half-open degree window (u2, u1]; u2 = -1 means no lower cut."""
 
-    u2: int
-    u1: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.u2 < -1:
-            raise InvalidBand(f"u2 = {self.u2} < -1")
-        if self.u2 >= self.u1:
-            raise InvalidBand(f"empty band: u2 = {self.u2} >= u1 = {self.u1}")
+    def __new__(cls, u2: int, u1: int):
+        if u2 < -1:
+            raise InvalidBand(f"u2 = {u2} < -1")
+        if u2 >= u1:
+            raise InvalidBand(f"empty band: u2 = {u2} >= u1 = {u1}")
+        return super().__new__(cls, u2, u1)
 
 
 def check_band(shape: BoxShape, band: DegreeBand) -> None:

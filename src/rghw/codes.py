@@ -6,6 +6,11 @@ of GF(q), with |A_i| = d_i ascending.  Points are ordered mixed-radix
 the mixed-radix encoding of its index tuple: the map from grid points to
 box points is position-preserving by construction.
 
+A grid evaluates a polynomial one coordinate at a time on whole rows:
+it keeps the power columns [a^e for a in A_i] of every coordinate, and
+each stage is Kronecker products and sums of rows, through the Field's
+row kernels (`Field.kron`, `Field.add_rows`).
+
 A CartesianCode of degree bound u evaluates every monomial x^a with
 deg(a) <= u (exponents in the box) on the grid; rows of the generator
 matrix follow descending lexicographic exponent order.  Evaluation is
@@ -13,8 +18,9 @@ injective on that monomial space, so dim = |{a : deg(a) <= u}|; this is
 asserted by row reduction at construction, whose RREF also gives the
 columns of a parity-check matrix (`parity_columns`).
 
-Row reduction is over the Field's int encodings; it is deliberately
-plain RREF since every matrix here is desk-scale.
+Row reduction is plain RREF over the Field's int encodings, since every
+matrix here is desk-scale; its row updates x - c*y go through the same
+row kernels.
 """
 
 from __future__ import annotations
@@ -50,14 +56,11 @@ def rref(rows: Iterable[Sequence[int]], field: Field):
             col += 1
             continue
         row = work.pop(pick)
-        inv = field.inv(row[col])
-        row = [field.mul(inv, x) for x in row]
+        row = field.kron((field.inv(row[col]),), row)
         for other in itertools.chain(reduced, work):
             c = other[col]
-            if c:
-                for j in range(col, ncols):
-                    if row[j]:
-                        other[j] = field.sub(other[j], field.mul(c, row[j]))
+            if c:  # other - c * row, from the pivot column on
+                other[col:] = field.add_rows(other[col:], field.kron((field.neg(c),), row[col:]))
         reduced.append(row)
         pivots.append(col)
         col += 1
@@ -65,15 +68,15 @@ def rref(rows: Iterable[Sequence[int]], field: Field):
 
 
 class CartesianGrid:
-    """Evaluation point set A_1 x ... x A_m with per-coordinate power tables.
+    """Evaluation point set A_1 x ... x A_m with per-coordinate power columns.
 
     The grid is a product, so the values of sum_e c_e x^e at every point
     are the Kronecker product of the per-coordinate Vandermonde maps
     [a^e for a in A_i] applied to the coefficients; `evaluate` applies
-    those maps one coordinate at a time.
+    those maps one coordinate at a time, on whole rows.
     """
 
-    __slots__ = ("field", "shape", "subsets", "_pows")
+    __slots__ = ("field", "shape", "subsets", "_cols")
 
     def __init__(self, field: Field, shape: BoxShape, subsets: Sequence[Sequence[int]]):
         subsets = tuple(tuple(s) for s in subsets)
@@ -81,13 +84,9 @@ class CartesianGrid:
         self.field = field
         self.shape = shape
         self.subsets = subsets
-        # _pows[i][j][e] = subsets[i][j] ** e for e up to d_i - 1.  Lists, not
-        # tuple(generator): CPython builds such a tuple by resizing, and once
-        # freed it parks in the free list of its final size, which grows to
-        # 2,000 tuples a size as grids are built and dropped.
-        self._pows = [
-            [list(itertools.accumulate(itertools.repeat(g, d - 1), field.mul, initial=1))
-             for g in sub]
+        # _cols[i][e] = [a ** e for a in subsets[i]] for e up to d_i - 1
+        self._cols = [
+            [list(col) for col in zip(*(field.powers(a, d) for a in sub))]
             for d, sub in zip(shape.d, subsets)
         ]
 
@@ -101,33 +100,24 @@ class CartesianGrid:
         """Values of sum c_e x^e over `terms` = {e: c} at every grid point,
         in point order; exponents must lie in the box.
 
-        Stage i replaces exponent e_i by point index j_i in a sparse table
-        keyed by (position of the first i coordinates, remaining exponents),
-        so a stage costs (distinct keys) * d_i products.  The last stage
-        adds straight into the n values, about n * (distinct last
-        exponents) products in all.
+        Stage i turns a table {(e_i, ..., e_m): row over the points of the
+        first i - 1 coordinates} into one keyed by (e_{i+1}, ..., e_m), each
+        row the sum of the Kronecker products of its rows with their power
+        columns [a^(e_i) for a in A_i].  A stage costs (distinct keys) *
+        (points of the first i coordinates) products and as many sums; after
+        stage m the one row left is the n values.
         """
-        add, mul = self.field.add, self.field.mul
-        table = {(0, e): c for e, c in terms.items()}
-        *heads, last = self._pows
-        for pows in heads:
-            d = len(pows)
+        kron, add_rows = self.field.kron, self.field.add_rows
+        rows = {e: (c,) for e, c in terms.items()}
+        for cols in self._cols:
             step: dict = {}
-            for (pos, exp), c in table.items():
-                e, rest = exp[0], exp[1:]
-                pos *= d
-                for j, row in enumerate(pows, pos):
-                    key = (j, rest)
-                    step[key] = add(step.get(key, 0), mul(c, row[e]))
-            table = step
-        d = len(last)
-        values = [0] * self.shape.n
-        for (pos, (e,)), c in table.items():
-            if c:
-                pos *= d
-                for j, row in enumerate(last, pos):
-                    values[j] = add(values[j], mul(c, row[e]))
-        return tuple(values)
+            for exp, row in rows.items():
+                rest = exp[1:]
+                part = kron(row, cols[exp[0]])
+                have = step.get(rest)
+                step[rest] = part if have is None else add_rows(have, part)
+            rows = step
+        return tuple(rows.get((), [0] * self.shape.n))
 
     def __repr__(self) -> str:
         return f"CartesianGrid(GF({self.field.q}), {self.shape.d})"

@@ -18,7 +18,12 @@ Every field, prime or not, computes with the same three O(q) tables
 exp[i] = g^i, log[g^i] = i and the Zech logarithm zech[n] = log(1 + g^n),
 so g^a + g^b = g^(a + zech[b - a]).  Zero's log is 2(q-1), past every sum
 of two nonzero logs, and exp reads 0 from there on, so products and
-negations with zero need no branch.
+negations with zero need no branch.  The Zech table is extended past its
+q - 1 entries so that sums with zero need none either (see `add`).
+
+Besides the scalar methods, `kron` and `add_rows` work on whole rows, one
+list comprehension of table lookups each: the grid evaluator and the row
+reductions of `codes` and `oracle` go through them.
 """
 
 from __future__ import annotations
@@ -215,7 +220,11 @@ class Field:
         for i, t in enumerate(powers):
             log[t] = i
         # 1 + g^i adds one to the low digit of g^i
-        self._zech = [log[t + 1 if (t + 1) % self.p else t + 1 - self.p] for t in powers]
+        zech = [log[t + 1 if (t + 1) % self.p else t + 1 - self.p] for t in powers]
+        # indexed by log b - log a in -2(q-1)..2(q-1), negative ones wrapping:
+        # |difference| < q - 1 for two nonzero terms, 2(q-1) - log a (read 0)
+        # for b = 0, and log b - 2(q-1) (read itself) for a = 0
+        self._zech = zech + [0] * q + list(range(2 - 2 * q, 1 - q)) + zech
         self._exp = powers + powers + [0] * (2 * q - 1)
         self._log = log
         self._log_neg1 = log[self.p - 1]  # p - 1 encodes -1
@@ -223,12 +232,9 @@ class Field:
     # -- arithmetic ------------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if not a:
-            return b
-        if not b:
-            return a
+        # a + 0 reads exp[log a + 0], 0 + b reads exp[log b], and 0 + 0
+        # reads past 2(q-1)
         la = self._log[a]
-        # a negative index wraps like (log b - log a) mod (q - 1)
         return self._exp[la + self._zech[self._log[b] - la]]
 
     def neg(self, a: int) -> int:
@@ -251,6 +257,26 @@ class Field:
         if not a:
             return 0 if n else 1
         return self._exp[self._log[a] * n % (self.q - 1)]
+
+    def powers(self, a: int, count: int) -> list[int]:
+        """[a^0, a^1, ..., a^(count-1)], read off the log of a."""
+        la, order = self._log[a], self.q - 1
+        if la > order:  # a = 0
+            return [int(not e) for e in range(count)]
+        return [self._exp[la * e % order] for e in range(count)]
+
+    # -- whole rows ------------------------------------------------------------
+
+    def kron(self, x, y) -> list[int]:
+        """Kronecker product of rows x and y: x[i] * y[j] at i * len(y) + j."""
+        exp, log = self._exp, self._log
+        ly = [log[b] for b in y]
+        return [exp[la + lb] for la in [log[a] for a in x] for lb in ly]
+
+    def add_rows(self, x, y) -> list[int]:
+        """Elementwise sum of rows x and y of equal length."""
+        exp, log, zech = self._exp, self._log, self._zech
+        return [exp[(la := log[a]) + zech[log[b] - la]] for a, b in zip(x, y)]
 
     def elements(self) -> list[int]:
         """All field elements in ascending canonical encoding."""

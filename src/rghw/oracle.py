@@ -47,8 +47,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .codes import CartesianCode
 from .errors import BudgetExceeded, InvalidBudget, InvalidNesting, RankOutOfRange
@@ -58,20 +58,20 @@ DEFAULT_MAX_STATES = 10**8
 DEFAULT_TIME_CAP = 300
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_states: int = DEFAULT_MAX_STATES
-    time_cap: int = DEFAULT_TIME_CAP  # wall-clock seconds
+class OracleBudget(NamedTuple("OracleBudget", [("max_states", int), ("time_cap", int)])):
+    """States and wall-clock seconds an oracle call may spend."""
 
-    def __post_init__(self):
-        if self.max_states < 1:
-            raise InvalidBudget(f"state budget {self.max_states} is below 1")
-        if self.time_cap < 0:
-            raise InvalidBudget(f"time budget {self.time_cap} s is negative")
+    __slots__ = ()
+
+    def __new__(cls, max_states: int = DEFAULT_MAX_STATES, time_cap: int = DEFAULT_TIME_CAP):
+        if max_states < 1:
+            raise InvalidBudget(f"state budget {max_states} is below 1")
+        if time_cap < 0:
+            raise InvalidBudget(f"time budget {time_cap} s is negative")
+        return super().__new__(cls, max_states, time_cap)
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     value: int
     witnesses: tuple
     states_explored: int
@@ -116,10 +116,6 @@ def _check_pair(c1: CartesianCode, c2: CartesianCode | None, r: int) -> None:
         raise RankOutOfRange(f"r = {r} outside 1..{ell}")
 
 
-def _vec_scale(field, c, x):
-    return tuple(field.mul(c, a) for a in x)
-
-
 def _coset_masks(field, packing: PackedVectors, base, gens, meter: _Meter) -> list:
     """Support masks of base + span(gens), ordered so that the vector at
     index `enc` has generator coefficients equal to the base-q digits of
@@ -132,7 +128,7 @@ def _coset_masks(field, packing: PackedVectors, base, gens, meter: _Meter) -> li
     for g in gens:
         block = vectors[:]
         for c in range(1, field.q):
-            vectors += packing.translates(block, packing.pack(_vec_scale(field, c, g)))
+            vectors += packing.translates(block, packing.pack(field.kron((c,), g)))
     return packing.supports(vectors)
 
 
@@ -216,8 +212,8 @@ class _SupportSearch:
         gens = self.wrows[p + 1 :] + self.g2rows
         for c, g in zip(_coset_digits(field.q, enc, len(gens)), gens):
             if c:
-                vec = tuple(map(field.add, vec, _vec_scale(field, c, g)))
-        return vec
+                vec = field.add_rows(vec, field.kron((c,), g))
+        return tuple(vec)
 
     def rank(self, r: int, meter: _Meter, prune: bool):
         """(M_r, witness rows).  With pruning, rank r stops at the bound
@@ -348,7 +344,7 @@ def oracle_rghw_window(
     _check_pair(c1, c2, r)
     meter = _Meter(budget or OracleBudget())
     field = c1.grid.field
-    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
+    add_rows, kron, mul, neg, inv = field.add_rows, field.kron, field.mul, field.neg, field.inv
     n = c1.length
     h1 = c1.parity_columns
     h2 = c2.parity_columns if c2 is not None else None
@@ -359,10 +355,8 @@ def oracle_rghw_window(
 
     def reduce(basis: list, x):
         for p, y, m in basis:
-            c = x[p]
-            if c:
-                c = mul(c, m)  # x - (x[p]/y[p]) y
-                x = [add(a, mul(c, b)) for a, b in zip(x, y)]
+            if x[p]:  # x - (x[p]/y[p]) y
+                x = add_rows(x, kron((mul(x[p], m),), y))
         return x
 
     def push(basis: list, x) -> bool:

@@ -16,9 +16,8 @@ attainment checks exercise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .boxcomb import BoxShape, DegreeBand, nth_band_element, shadow
 from .errors import EmptyFamily, RankOutOfRange, ShapeMismatch
@@ -28,8 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .codes import CartesianGrid
 
 
-@dataclass(frozen=True)
-class LeadingTerm:
+class LeadingTerm(NamedTuple):
     exponent: tuple
     coefficient: int
 
@@ -132,10 +130,10 @@ def common_zero_count(fs: Sequence[MultiPoly], grid: "CartesianGrid") -> int:
     """Number of grid points where every polynomial of the family vanishes."""
     if not fs:
         raise EmptyFamily("common_zero_count needs at least one polynomial")
-    alive = set(range(grid.shape.n))
+    alive = range(grid.shape.n)
     for f in fs:
         values = evaluate_on_grid(f, grid)
-        alive = {i for i in alive if values[i] == 0}
+        alive = [i for i in alive if not values[i]]
         if not alive:
             break
     return len(alive)

@@ -15,7 +15,6 @@ combinatorics: no field, no grid, no enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .boxcomb import (
@@ -29,18 +28,14 @@ from .boxcomb import (
 from .errors import RankOutOfRange
 
 
-@dataclass(frozen=True)
-class WeightQuery:
-    shape: BoxShape
-    band: DegreeBand
-    r: int
+class WeightQuery(NamedTuple("WeightQuery", [("shape", BoxShape), ("band", DegreeBand), ("r", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        size = band_size(self.shape, self.band)
-        if not 1 <= self.r <= size:
-            raise RankOutOfRange(
-                f"r = {self.r} outside 1..{size} for band {self.band} in box {self.shape.d}"
-            )
+    def __new__(cls, shape: BoxShape, band: DegreeBand, r: int):
+        size = band_size(shape, band)
+        if not 1 <= r <= size:
+            raise RankOutOfRange(f"r = {r} outside 1..{size} for band {band} in box {shape.d}")
+        return super().__new__(cls, shape, band, r)
 
 
 class WeightRecord(NamedTuple):
@@ -56,8 +51,7 @@ class WeightRecord(NamedTuple):
     oracle: int | None = None
 
 
-@dataclass(frozen=True)
-class WeightReport:
+class WeightReport(NamedTuple):
     shape: BoxShape
     band: DegreeBand
     records: tuple

@@ -204,3 +204,34 @@ def test_arithmetic_properties_random_fields(q, a, b, c, n):
     assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
     if a:
         assert f.pow(a, n) == f.mul(f.pow(a, n - 1), a)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_row_kernels_match_scalar_arithmetic_on_every_pair(q):
+    # every (x, y), zeros and x = -y among them
+    f = field(q)
+    elements = list(range(q))
+    xs = [a for a in elements for _ in elements]
+    ys = [b for _ in elements for b in elements]
+    assert f.kron(elements, elements) == [f.mul(a, b) for a, b in zip(xs, ys)]
+    assert f.add_rows(xs, ys) == [f.add(a, b) for a, b in zip(xs, ys)]
+    assert f.add_rows(elements, [f.neg(a) for a in elements]) == [0] * q
+    for a in elements:
+        assert f.kron([a], elements) == [f.mul(a, b) for b in elements]
+        assert f.powers(a, q + 2) == [f.pow(a, e) for e in range(q + 2)]
+    assert f.kron([], elements) == f.kron(elements, []) == f.add_rows([], []) == []
+    assert f.powers(0, 0) == f.powers(1, 0) == []
+
+
+@pytest.mark.parametrize("q", [101, 256, 257, 1024])
+def test_row_kernels_match_scalar_arithmetic_on_random_rows(q):
+    f = field(q)
+    rng = random.Random(q)
+    for _ in range(20):
+        x = [rng.choice((0, rng.randrange(q))) for _ in range(rng.randint(1, 40))]
+        y = [rng.choice((0, rng.randrange(q))) for _ in range(rng.randint(1, 40))]
+        assert f.kron(x, y) == [f.mul(a, b) for a in x for b in y]
+        y = y[: len(x)] + [f.neg(a) for a in x[len(y):]]  # x = -y past y's end
+        assert f.add_rows(x, y) == [f.add(a, b) for a, b in zip(x, y)]
+        a = rng.randrange(q)
+        assert f.powers(a, 50) == [f.pow(a, e) for e in range(50)]

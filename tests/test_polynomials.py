@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -227,6 +228,72 @@ def test_common_zero_count_matches_brute_count():
             fs = [random_poly(field, grid.shape, rng) for _ in range(rng.randint(1, 3))]
             zeros = sum(all(brute.brute_eval(field, f.terms, x) == 0 for f in fs) for x in points)
             assert common_zero_count(fs, grid) == zeros
+
+
+def grid_with_zero(field, sizes, rng):
+    """Grid over `sizes` on random subsets that all contain 0."""
+    return build_grid(field, sizes, subsets=[[0] + rng.sample(range(1, field.q), s - 1) for s in sizes])
+
+
+@pytest.mark.parametrize("q", [101, 256, 1024])
+def test_grid_evaluation_matches_brute_at_families_scale(q):
+    # sides 20-60 as in `rghw maximal` on large fields; sampled points, half
+    # of them with a zero coordinate
+    field = Field(q)
+    rng = random.Random(q + 12)
+    for sizes in ((rng.randint(20, 60), rng.randint(20, 60)), (20, 21, 22)):
+        grid = grid_with_zero(field, sizes, rng)
+        shape = grid.shape
+        zero_at = [sub.index(0) for sub in grid.subsets]
+        samples = []
+        for t in range(120):
+            idx = [rng.randrange(d) for d in shape.d]
+            if t % 2:
+                i = rng.randrange(shape.m)
+                idx[i] = zero_at[i]
+            samples.append(tuple(idx))
+        band = DegreeBand(rng.randint(-1, 2), 6)
+        polys = [random_poly(field, shape, rng) for _ in range(8)] + maximal_family(grid, band, 5)
+        for f in polys:
+            values = evaluate_on_grid(f, grid)
+            assert len(values) == shape.n
+            for idx in samples:
+                point = tuple(sub[j] for sub, j in zip(grid.subsets, idx))
+                assert values[shape.encode(idx)] == brute.brute_eval(field, f.terms, point), (q, sizes, idx)
+
+
+def pinned_families():
+    """30 seeded (q, sizes, subsets, band, r) families on grids of 400 to
+    3,600 points over the families-scale fields, each with its grid."""
+    rng = random.Random(1207)
+    for q in (101, 243, 256, 257, 1024):
+        field = Field(q)
+        for m, sides, u1 in ((2, (20, 60), 6), (3, (7, 12), 5), (2, (20, 60), 6)):
+            sizes = tuple(rng.randint(*sides) for _ in range(m))
+            subsets = [[0] + rng.sample(range(1, q), s - 1) for s in sizes]
+            grid = build_grid(field, sizes, subsets=subsets)
+            for _ in range(2):
+                band = DegreeBand(rng.randint(-1, 2), u1)
+                yield q, sizes, subsets, band, rng.randint(1, 5), grid
+
+
+# sha256 over repr((q, sizes, subsets, u2, u1, r, member values, common zeros))
+# of every family above, recorded while the grid was evaluated one scalar
+# product at a time
+EVALUATION_DIGEST = "9a9e2c079906405a8aa9fd64eee696acc5852fba355766689e0becff872013f6"
+
+
+def test_family_evaluations_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for q, sizes, subsets, band, r, grid in pinned_families():
+        family = maximal_family(grid, band, r)
+        values = [evaluate_on_grid(f, grid) for f in family]
+        zeros = common_zero_count(family, grid)
+        digest.update(repr((q, sizes, subsets, band.u2, band.u1, r, values, zeros)).encode())
+        count += 1
+    assert count == 30
+    assert digest.hexdigest() == EVALUATION_DIGEST
 
 
 @pytest.mark.parametrize("q,sizes", [(256, (30, 40)), (1024, (10, 10))])

@@ -1,16 +1,20 @@
-"""Static checks on the package source: no dead helpers, no unused imports.
+"""Static checks on the package source: no dead helpers, no unused
+imports, no private attributes read across objects, and a light import.
 
 A module-level function or class, or a method, that nothing in the
 package names and that `rghw/__init__.py` does not re-export is dead
 code; so is an imported name that its module never uses.  Dunder methods
 are called by Python itself and are exempt, as are the re-exports of
 `__init__.py`.  A name that appears only in a string annotation counts
-as used.
+as used.  An underscore attribute is read only through `self` or `cls`,
+so that, for one, no module but `gf.py` touches a Field's tables.
 """
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import rghw
@@ -108,12 +112,45 @@ def unused_imports(modules: dict) -> list:
     return unused
 
 
+# documented NamedTuple methods, underscored only to stay clear of field names
+NAMEDTUPLE_API = {"_asdict", "_field_defaults", "_fields", "_make", "_replace"}
+
+
+def foreign_private_reads(modules: dict) -> list:
+    """Underscore attributes reached through anything but `self` or `cls`;
+    dunders and the NamedTuple API are public."""
+    found = []
+    for name, tree in modules.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
+                continue
+            dunder = node.attr.startswith("__") and node.attr.endswith("__")
+            own = isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")
+            if not (dunder or own or node.attr in NAMEDTUPLE_API):
+                found.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+    return found
+
+
 def test_no_dead_helpers():
     assert dead_definitions(parsed_modules()) == []
 
 
 def test_no_unused_imports():
     assert unused_imports(parsed_modules()) == []
+
+
+def test_no_private_attributes_read_across_objects():
+    assert foreign_private_reads(parsed_modules()) == []
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # both are heavy imports that the package does not need
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import rghw; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_checks_catch_what_they_look_for():
@@ -128,3 +165,8 @@ def test_checks_catch_what_they_look_for():
     modules = {"__init__.py": ast.parse("from .m import used\n"), "m.py": ast.parse(source)}
     assert dead_definitions(modules) == ["m.py:3 _helper", "m.py:7 Thing", "m.py:8 spare"]
     assert unused_imports(modules) == ["m.py:1 MultiPoly"]
+    private = (
+        "def f(field, rec, self):\n"
+        "    return field._log, self._log, rec._replace(), field.__class__, g()._exp\n"
+    )
+    assert foreign_private_reads({"m.py": ast.parse(private)}) == ["m.py:2 field._log", "m.py:2 g()._exp"]
