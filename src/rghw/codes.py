@@ -84,9 +84,13 @@ class CartesianGrid:
         self.field = field
         self.shape = shape
         self.subsets = subsets
-        # _cols[i][e] = [a ** e for a in subsets[i]] for e up to d_i - 1
+        # _cols[i][e] = [a ** e for a in subsets[i]] for e up to d_i - 1.  zip
+        # takes a list, not a generator: CPython builds the argument tuple of
+        # a generator by resizing, and once freed such a tuple parks in the
+        # free list of its final size, which grows to 2,000 tuples a size as
+        # grids are built and dropped
         self._cols = [
-            [list(col) for col in zip(*(field.powers(a, d) for a in sub))]
+            [list(col) for col in zip(*[field.powers(a, d) for a in sub])]
             for d, sub in zip(shape.d, subsets)
         ]
 
