@@ -60,7 +60,7 @@ def rref(rows: Iterable[Sequence[int]], field: Field):
         for other in itertools.chain(reduced, work):
             c = other[col]
             if c:  # other - c * row, from the pivot column on
-                other[col:] = field.add_rows(other[col:], field.kron((field.neg(c),), row[col:]))
+                other[col:] = field.add_rows(other[col:], row[col:], field.neg(c))
         reduced.append(row)
         pivots.append(col)
         col += 1
@@ -84,15 +84,8 @@ class CartesianGrid:
         self.field = field
         self.shape = shape
         self.subsets = subsets
-        # _cols[i][e] = [a ** e for a in subsets[i]] for e up to d_i - 1.  zip
-        # takes a list, not a generator: CPython builds the argument tuple of
-        # a generator by resizing, and once freed such a tuple parks in the
-        # free list of its final size, which grows to 2,000 tuples a size as
-        # grids are built and dropped
-        self._cols = [
-            [list(col) for col in zip(*[field.powers(a, d) for a in sub])]
-            for d, sub in zip(shape.d, subsets)
-        ]
+        # _cols[i][e] = [a ** e for a in subsets[i]] for e up to d_i - 1
+        self._cols = [field.vandermonde(sub, d) for d, sub in zip(shape.d, subsets)]
 
     def monomial_values(self, exp) -> tuple:
         """Values of x^exp at every grid point, in point order."""

@@ -21,9 +21,11 @@ of two nonzero logs, and exp reads 0 from there on, so products and
 negations with zero need no branch.  The Zech table is extended past its
 q - 1 entries so that sums with zero need none either (see `add`).
 
-Besides the scalar methods, `kron` and `add_rows` work on whole rows, one
-list comprehension of table lookups each: the grid evaluator and the row
-reductions of `codes` and `oracle` go through them.
+Besides the scalar methods, `kron` (the Kronecker product of two rows)
+and `add_rows` (x + c*y, elementwise) work on whole rows, in list
+comprehensions of table lookups: the grid evaluator and the row
+reductions of `codes` and `oracle` go through them, and `vandermonde`
+gives a grid its power columns.
 """
 
 from __future__ import annotations
@@ -258,14 +260,14 @@ class Field:
             return 0 if n else 1
         return self._exp[self._log[a] * n % (self.q - 1)]
 
-    def powers(self, a: int, count: int) -> list[int]:
-        """[a^0, a^1, ..., a^(count-1)], read off the log of a."""
-        la, order = self._log[a], self.q - 1
-        if la > order:  # a = 0
-            return [int(not e) for e in range(count)]
-        return [self._exp[la * e % order] for e in range(count)]
-
     # -- whole rows ------------------------------------------------------------
+
+    def vandermonde(self, xs, count: int) -> list[list[int]]:
+        """Rows [x^e for x in xs] for e = 0 .. count-1, read off the logs of xs."""
+        exp, order = self._exp, self.q - 1
+        logs = [self._log[x] for x in xs]
+        # zero's log is past `order`: 0^0 = 1 and 0^e = 0 after
+        return [[exp[l * e % order] if l < order else int(not e) for l in logs] for e in range(count)]
 
     def kron(self, x, y) -> list[int]:
         """Kronecker product of rows x and y: x[i] * y[j] at i * len(y) + j."""
@@ -273,9 +275,12 @@ class Field:
         ly = [log[b] for b in y]
         return [exp[la + lb] for la in [log[a] for a in x] for lb in ly]
 
-    def add_rows(self, x, y) -> list[int]:
-        """Elementwise sum of rows x and y of equal length."""
+    def add_rows(self, x, y, c: int = 1) -> list[int]:
+        """x + c*y, elementwise, for rows x and y of equal length."""
         exp, log, zech = self._exp, self._log, self._zech
+        if c != 1:
+            lc = log[c]
+            y = [exp[lc + log[b]] for b in y]
         return [exp[(la := log[a]) + zech[log[b] - la]] for a, b in zip(x, y)]
 
     def elements(self) -> list[int]:

@@ -212,7 +212,7 @@ class _SupportSearch:
         gens = self.wrows[p + 1 :] + self.g2rows
         for c, g in zip(_coset_digits(field.q, enc, len(gens)), gens):
             if c:
-                vec = field.add_rows(vec, field.kron((c,), g))
+                vec = field.add_rows(vec, g, c)
         return tuple(vec)
 
     def rank(self, r: int, meter: _Meter, prune: bool):
@@ -344,7 +344,7 @@ def oracle_rghw_window(
     _check_pair(c1, c2, r)
     meter = _Meter(budget or OracleBudget())
     field = c1.grid.field
-    add_rows, kron, mul, neg, inv = field.add_rows, field.kron, field.mul, field.neg, field.inv
+    add_rows, mul, neg, inv = field.add_rows, field.mul, field.neg, field.inv
     n = c1.length
     h1 = c1.parity_columns
     h2 = c2.parity_columns if c2 is not None else None
@@ -356,7 +356,7 @@ def oracle_rghw_window(
     def reduce(basis: list, x):
         for p, y, m in basis:
             if x[p]:  # x - (x[p]/y[p]) y
-                x = add_rows(x, kron((mul(x[p], m),), y))
+                x = add_rows(x, y, mul(x[p], m))
         return x
 
     def push(basis: list, x) -> bool:

@@ -216,11 +216,13 @@ def test_row_kernels_match_scalar_arithmetic_on_every_pair(q):
     assert f.kron(elements, elements) == [f.mul(a, b) for a, b in zip(xs, ys)]
     assert f.add_rows(xs, ys) == [f.add(a, b) for a, b in zip(xs, ys)]
     assert f.add_rows(elements, [f.neg(a) for a in elements]) == [0] * q
+    for c in elements:
+        assert f.add_rows(xs, ys, c) == [f.add(a, f.mul(c, b)) for a, b in zip(xs, ys)]
     for a in elements:
         assert f.kron([a], elements) == [f.mul(a, b) for b in elements]
-        assert f.powers(a, q + 2) == [f.pow(a, e) for e in range(q + 2)]
+    assert f.vandermonde(elements, q + 2) == [[f.pow(a, e) for a in elements] for e in range(q + 2)]
     assert f.kron([], elements) == f.kron(elements, []) == f.add_rows([], []) == []
-    assert f.powers(0, 0) == f.powers(1, 0) == []
+    assert f.vandermonde(elements, 0) == [] and f.vandermonde([], 2) == [[], []]
 
 
 @pytest.mark.parametrize("q", [101, 256, 257, 1024])
@@ -233,5 +235,6 @@ def test_row_kernels_match_scalar_arithmetic_on_random_rows(q):
         assert f.kron(x, y) == [f.mul(a, b) for a in x for b in y]
         y = y[: len(x)] + [f.neg(a) for a in x[len(y):]]  # x = -y past y's end
         assert f.add_rows(x, y) == [f.add(a, b) for a, b in zip(x, y)]
-        a = rng.randrange(q)
-        assert f.powers(a, 50) == [f.pow(a, e) for e in range(50)]
+        c = rng.randrange(q)
+        assert f.add_rows(x, y, c) == [f.add(a, f.mul(c, b)) for a, b in zip(x, y)]
+        assert f.vandermonde(x, 50) == [[f.pow(a, e) for a in x] for e in range(50)]
