@@ -273,7 +273,7 @@ class Field:
         """Kronecker product of rows x and y: x[i] * y[j] at i * len(y) + j."""
         exp, log = self._exp, self._log
         ly = [log[b] for b in y]
-        return [exp[la + lb] for la in [log[a] for a in x] for lb in ly]
+        return [exp[la + lb] for a in x for la in (log[a],) for lb in ly]
 
     def add_rows(self, x, y, c: int = 1) -> list[int]:
         """x + c*y, elementwise, for rows x and y of equal length."""

@@ -11,8 +11,9 @@ with each other; `verify` runs both, and `hierarchy --oracle` the first:
   supports| with branch-and-bound on the running support union, over
   echelon-valid rows only.  Candidate rows are built as packed-int
   cosets (gf.PackedVectors), so a translate is one int add and its
-  support mask is read off the nonzero slots.  Relative weights strictly
-  increase, M_{i} + r - i <= M_r for i < r (Luo, Mitrpant, Vinck, Chen,
+  support mask is read off the nonzero slots; a pivot's candidates are
+  one sorted list of int keys, with no tuple per row.  Relative weights
+  strictly increase, M_{i} + r - i <= M_r for i < r (Luo, Mitrpant, Vinck, Chen,
   "Some new characters on the wire-tap channel of type II", IEEE Trans.
   Inf. Theory 51, 2005; M_0 = 0), so rank r stops at the first subspace
   reaching that bound for the highest rank i < r already answered on
@@ -45,9 +46,10 @@ tiny inputs.
 
 from __future__ import annotations
 
-import itertools
 import time
+from itertools import combinations, cycle, filterfalse, repeat
 from math import comb
+from operator import lshift, or_
 from typing import NamedTuple
 
 from .codes import CartesianCode
@@ -150,13 +152,16 @@ class _SupportSearch:
     relative weights it has found so far.
 
     wrows are the generator rows of C1 whose exponents have degree above
-    u2 (the complement W, in descending-lex exponent order); for each
-    pivot p the candidate list holds every codeword of w_p +
-    span(wrows[p+1:], C2) as (support size, encoding << ell | W mask,
-    support mask), sorted; W mask bit j is set when wrows[p+1+j] has a
-    nonzero coefficient.  Under later pivots F the echelon-valid rows are
-    those whose W mask misses F, w_p + span(later non-pivot W rows, C2),
-    and run() visits only those (one state each).
+    u2 (the complement W, in descending-lex exponent order).  For each
+    pivot p, masks[p] holds the support masks of w_p + span(wrows[p+1:],
+    C2) by encoding, and candidates[p] one sorted int per codeword,
+    support size << shift | encoding << ell | W mask; shift clears the
+    first (largest) coset's encoding << ell | W mask, so the order is
+    that of (support size, encoding).  W mask bit j is set when
+    wrows[p+1+j] has a nonzero coefficient.  Under later pivots F the
+    echelon-valid rows are those whose W mask misses F (key & F == 0),
+    w_p + span(later non-pivot W rows, C2), and run() visits only those
+    (one state each).
 
     rank(r) holds each answered rank's (value, witness, run states) and
     stops rank r at M_i + r - i, i < r the highest held rank (M_0 = 0),
@@ -173,21 +178,21 @@ class _SupportSearch:
             row for exp, row in zip(c1.basis, c1.G) if sum(exp) > u2
         )
         self.g2rows = tuple(c2.G) if c2 is not None else ()
-        self.ell = len(self.wrows)
+        ell = self.ell = len(self.wrows)
         packing = PackedVectors(field.p, field.e, c1.length)
         self.row_masks = packing.supports([packing.pack(v) for v in self.wrows])
-        self.candidates = []
-        for p in range(self.ell):
+        self.shift = ((field.q ** (ell - 1 + len(self.g2rows)) - 1) << ell).bit_length()
+        self.masks, self.candidates = [], []
+        for p in range(ell):
             gens = list(self.wrows[p + 1 :]) + list(self.g2rows)
             masks = _coset_masks(field, packing, self.wrows[p], gens, meter)
             wmasks = [0]  # W mask of each W-digit encoding
-            for j in range(self.ell - p - 1):
+            for j in range(ell - p - 1):
                 wmasks += [m | 1 << j for m in wmasks] * (field.q - 1)
-            qw = len(wmasks)
-            self.candidates.append(sorted(
-                (m.bit_count(), enc << self.ell | wmasks[enc % qw], m)
-                for enc, m in enumerate(masks)
-            ))
+            codes = map(or_, map(lshift, range(len(masks)), repeat(ell)), cycle(wmasks))
+            pops = map(lshift, map(int.bit_count, masks), repeat(self.shift))
+            self.masks.append(masks)
+            self.candidates.append(sorted(map(or_, pops, codes)))
         self.setup_states = meter.states - start
         self.solved: dict = {}  # rank -> (value, [(pivot, encoding)], run states)
         self._views: dict = {}
@@ -198,7 +203,7 @@ class _SupportSearch:
         emptied when it would outgrow the candidate lists."""
         hit = self._views.get((p, later)) if later else self.candidates[p]
         if hit is None:
-            hit = [c for c in self.candidates[p] if not c[1] & later]
+            hit = list(filterfalse(later.__and__, self.candidates[p]))
             if len(hit) > self._view_room:
                 self._views.clear()
                 self._view_room = self._view_cap
@@ -249,8 +254,9 @@ class _SupportSearch:
         if best == floor:
             return best, best_rows
         limit = best  # what a row must beat; 0 once best reaches floor, so every loop stops
+        ell, shift, low = self.ell, self.shift, (1 << self.shift) - 1  # low: encoding, W mask
 
-        for pivots in itertools.combinations(range(self.ell), r):
+        for pivots in combinations(range(ell), r):
             chosen: list = []
             pivot_mask = sum(1 << p for p in pivots)  # >> p + 1: later pivots of p
 
@@ -261,15 +267,16 @@ class _SupportSearch:
                 if depth:
                     rows = self.view(p, later)
                 else:  # passed once per combination: filtered lazily
-                    rows = (c for c in self.candidates[p] if not c[1] & later)
+                    rows = filterfalse(later.__and__, self.candidates[p])
                 i = -1
-                for i, (pop, code, mask) in enumerate(rows):
-                    if prune and pop >= limit:
+                for i, key in enumerate(rows):
+                    if prune and key >> shift >= limit:
                         break
-                    merged = union_mask | mask
+                    enc = (key & low) >> ell
+                    merged = union_mask | self.masks[p][enc]
                     if prune and merged.bit_count() >= limit:
                         continue
-                    chosen.append((p, code >> self.ell))
+                    chosen.append((p, enc))
                     if depth + 1 == r:
                         total = merged.bit_count()
                         if total < limit:
@@ -281,7 +288,10 @@ class _SupportSearch:
                     chosen.pop()
                 meter.spend(i + 1)
 
-            descend(0, 0)
+            try:
+                descend(0, 0)
+            finally:  # descend calls itself through its cell: free that cycle now
+                descend = None
             if not limit:
                 break
         return best, best_rows

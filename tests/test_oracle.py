@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import random
@@ -153,6 +154,11 @@ SUPPORT_SWEEP_DIGEST = "293fbae6f89b0ebb55747e8617572af47a194ee9d8a5cccd53a9ec9d
 SUPPORT_SWEEP_DIGEST_9 = "dc34ad82b68bb91efcbeb9b92ac522179ba36e92e20e2384cee785235fe69be6"
 
 # sha256 over repr((q, sizes, u1, u2, r, value, witnesses, states_explored))
+# of every support call on the default verify grid's boxes with n <= 8, in
+# sweep order, recorded on the search that kept one tuple per candidate
+SUPPORT_STATES_DIGEST = "45f452a1c053e5e029b3fec483fe6faaf750a4217215c1c8de2808c888de704b"
+
+# sha256 over repr((q, sizes, u1, u2, r, value, witnesses, states_explored))
 # of every window call on the default verify grid's boxes with n <= 8, in
 # sweep order, recorded on the per-window RREF implementation
 WINDOW_SWEEP_DIGEST = "63c54bd7e58752c618f4c4df0e4a8a05fe90a6a4049abcab498b31e02c065d3f"
@@ -178,6 +184,17 @@ def test_support_witnesses_pinned_to_nine_points():
         calls += 1
     assert calls == 408
     assert digest.hexdigest() == SUPPORT_SWEEP_DIGEST_9
+
+
+def test_support_states_pinned():
+    digest = hashlib.sha256()
+    calls = 0
+    for key, c1, c2, r in default_grid_calls(8):
+        res = oracle_rghw_support(c1, c2, r)
+        digest.update(repr(key + (res.value, res.witnesses, res.states_explored)).encode())
+        calls += 1
+    assert calls == 270
+    assert digest.hexdigest() == SUPPORT_STATES_DIGEST
 
 
 def test_window_results_pinned():
@@ -474,10 +491,12 @@ def test_rank_budget_parity(field, sizes):
 
 
 def test_support_set_up_is_released():
-    # GF(4) (2,2,2), u1 = 3: 16,384 candidates at the first pivot; a query on
-    # another pair must free that set-up, so at most one is held
-    big = build_code(build_grid(F4, (2, 2, 2)), 3)
+    # GF(4) (3,3), u1 = 4: 87,372 set-up states; a query on another pair must
+    # free that set-up at once, so at most one is held.  The cyclic gc is off,
+    # so a reference cycle that keeps the old set-up alive fails the test.
+    big = build_code(build_grid(F4, (3, 3)), 4)
     small = build_code(build_grid(F2, (2,)), 1)
+    gc.disable()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -487,5 +506,6 @@ def test_support_set_up_is_released():
         after = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
+        gc.enable()
     assert held > 2 * 2**20
     assert after < held // 20
