@@ -30,6 +30,9 @@ gives a grid its power columns.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import or_, rshift
+
 from .errors import DivisionByZero, NotAPrimePower
 
 _MAX_Q = 1 << 16
@@ -113,42 +116,57 @@ def _mul_digits(a: int, b: int, p: int, e: int, modulus: tuple[int, ...]) -> int
 
 
 class PackedVectors:
-    """Vectors of GF(p^e)^n as ints with one w-bit slot per base-p digit,
-    w = p.bit_length() + 1: digit j of coordinate i sits in slot j*n + i.
+    """Vectors of GF(p^e)^n as ints with one w-bit slot per base-p digit:
+    digit j of coordinate i sits in slot j*n + i, so digit j of every
+    coordinate fills plane j, the n slots from bit j*n*w on.
 
-    A slot holds 2p - 2 plus a bias below 2^(w-1), so adding two vectors
-    is one int add, then subtracting p from every slot that reached p,
-    all slots at once.  A support mask has the top bit of slot i set when
-    coordinate i is nonzero; `full` has all n of them.
+    For p = 2 a slot is one bit (w = 1): adding two vectors is an XOR.
+    For odd p, w = p.bit_length() + 1 and a slot holds 2p - 2 plus a bias
+    below 2^(w-1), so adding two vectors is one int add, then subtracting
+    p from every slot that reached p, all slots at once.
+
+    A support mask has the top bit of slot i set when coordinate i is
+    nonzero: the top bits of the nonzero slots, planes ORed onto plane 0.
+    `full` has all n of them.  spread[a] holds the digits of a in the
+    slots of coordinate 0, so `pack` is one shifted table read a
+    coordinate.
     """
 
-    __slots__ = ("p", "e", "n", "w", "top", "bias", "ones", "full")
+    __slots__ = ("p", "e", "n", "w", "top", "bias", "ones", "full", "spread")
 
     def __init__(self, p: int, e: int, n: int):
         self.p, self.e, self.n = p, e, n
-        self.w = w = p.bit_length() + 1
+        self.w = w = 1 if p == 2 else p.bit_length() + 1
         unit = sum(1 << j * w for j in range(n * e))  # 1 in every slot
         self.top = unit << w - 1
-        self.bias = ((1 << w - 1) - p) * unit  # a slot reaches its top bit iff >= p
-        self.ones = ((1 << w - 1) - 1) * unit  # ... iff >= 1
+        # odd p: a slot reaches its top bit iff >= p, or iff >= 1
+        self.bias, self.ones = ((1 << w - 1) - p) * unit, ((1 << w - 1) - 1) * unit
         self.full = self.top & (1 << n * w) - 1
+        self.spread = spread = [0]
+        for j in range(e):  # a = d * p^j + (a mod p^j) puts d in plane j
+            spread += [s | high for high in range(1 << j * n * w, p << j * n * w, 1 << j * n * w) for s in spread]
 
     def pack(self, vec) -> int:
-        p, n, w = self.p, self.n, self.w
-        return sum(a // p**j % p << (j * n + i) * w for i, a in enumerate(vec) for j in range(self.e))
+        spread, w = self.spread, self.w
+        return sum(spread[a] << i * w for i, a in enumerate(vec))
 
     def translates(self, packed: list, step: int) -> list:
         """x + step for every x in `packed`."""
+        if self.p == 2:
+            return list(map(step.__xor__, packed))
         p, top, bias, shift = self.p, self.top, self.bias, self.w - 1
         return [(s := x + step) - p * ((s + bias & top) >> shift) for x in packed]
 
     def supports(self, packed: list) -> list:
-        """Support mask of every vector in `packed`."""
-        nonzero = [x + self.ones & self.top for x in packed]  # top bit of every nonzero slot
-        for j in range(1, self.e):  # digit j's slots shifted onto digit 0's
-            nonzero = [t | t >> j * self.n * self.w for t in nonzero]
-        full = self.full
-        return [t & full for t in nonzero]
+        """Support mask of every vector in `packed`; for GF(2), `packed` itself."""
+        ones, top = self.ones, self.top  # p = 2: a set bit is a nonzero digit
+        nonzero = packed if self.p == 2 else [x + ones & top for x in packed]
+        if self.e == 1:
+            return nonzero
+        folded, plane = nonzero, self.n * self.w
+        for j in range(1, self.e):
+            folded = map(or_, folded, map(rshift, nonzero, repeat(j * plane)))
+        return list(map(self.full.__and__, folded))
 
 
 def _powers(p: int, e: int, modulus: tuple[int, ...]) -> list[int]:
@@ -156,7 +174,8 @@ def _powers(p: int, e: int, modulus: tuple[int, ...]) -> list[int]:
     multiplicative order q - 1 (g = 1 for GF(2)).
 
     Multiplication by g is GF(p)-linear, so the table of g*t over all t is
-    the span of the images g*x^j, summed as PackedVectors of length 1.
+    the span of the images g*x^j, summed as PackedVectors of length 1,
+    whose spread table is every encoding packed.
     """
     n = p**e - 1
     cofactors = [n // f for f in range(2, n + 1) if n % f == 0 and _smallest_prime_factor(f) == f]
@@ -171,21 +190,15 @@ def _powers(p: int, e: int, modulus: tuple[int, ...]) -> list[int]:
 
     g = next((c for c in range(2, n + 1) if all(power(c, k) != 1 for k in cofactors)), 1)
     packing = PackedVectors(p, e, 1)
-
-    def span(images: list[int]) -> list[int]:
-        """sum_j u_j * images[j] for u = 0 .. p^e - 1, u_j the digits of u."""
-        out = [0]
-        for image in images:
-            multiples = [0]
-            for _ in range(p - 1):
-                multiples += packing.translates(multiples[-1:], image)
-            out = [t for m in multiples for t in packing.translates(out, m)]
-        return out
-
-    spread = span([packing.pack((p**j,)) for j in range(e)])  # spread[t] for every encoding t
-    encoding = {s: t for t, s in enumerate(spread)}
-    images = [spread[_mul_digits(g, p**j, p, e, modulus)] for j in range(e)]
-    times_g = [encoding[s] for s in span(images)]
+    encoding = {s: t for t, s in enumerate(packing.spread)}
+    span = [0]  # sum_j u_j * g*x^j for u = 0 .. p^e - 1, u_j the digits of u
+    for j in range(e):
+        image = packing.spread[_mul_digits(g, p**j, p, e, modulus)]
+        multiples = [0]
+        for _ in range(p - 1):
+            multiples += packing.translates(multiples[-1:], image)
+        span = [t for m in multiples for t in packing.translates(span, m)]
+    times_g = [encoding[s] for s in span]
     out = [1]
     for _ in range(n - 1):
         out.append(times_g[out[-1]])

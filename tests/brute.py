@@ -173,6 +173,13 @@ def _from_digits(field, digits):
     return sum(d * field.p**i for i, d in enumerate(digits))
 
 
+def brute_pack(field, vec, w):
+    """The int with digit j of coordinate i of `vec` in w-bit slot
+    j * len(vec) + i, the layout of rghw.gf.PackedVectors."""
+    n = len(vec)
+    return sum(d << (j * n + i) * w for i, a in enumerate(vec) for j, d in enumerate(_digits(field, a)))
+
+
 def field_add(field, a, b):
     """Digit-wise sum mod p of the two encodings."""
     return _from_digits(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import brute
 from rghw.errors import DivisionByZero, NotAPrimePower
-from rghw.gf import Field
+from rghw.gf import Field, PackedVectors
 
 
 def prime_powers(limit):
@@ -238,3 +238,27 @@ def test_row_kernels_match_scalar_arithmetic_on_random_rows(q):
         c = rng.randrange(q)
         assert f.add_rows(x, y, c) == [f.add(a, f.mul(c, b)) for a, b in zip(x, y)]
         assert f.vandermonde(x, 50) == [[f.pow(a, e) for a in x] for e in range(50)]
+
+
+@pytest.mark.parametrize("n", [1, 7, 31, 40])
+@pytest.mark.parametrize("q", [2, 4, 8, 256, 65536, 3, 9, 243])
+def test_packed_vectors_match_field_arithmetic(q, n):
+    # for n > 1 a coordinate's digits lie n slots apart, and past 30 bits a
+    # vector spans several int digits; each vector is also a translate's
+    # step, so some translates cancel to zero coordinates
+    f = field(q)
+    rng = random.Random(n * q)
+    high = f.p ** (f.e - 1)  # only the top digit nonzero
+    vecs = [[0] * n] + [[rng.choice((0, 1, high, rng.randrange(q))) for _ in range(n)] for _ in range(12)]
+    vecs += [[f.neg(a) for a in v] for v in vecs[1:4]]
+    packing = PackedVectors(f.p, f.e, n)
+    w = packing.w
+    packed = [packing.pack(v) for v in vecs]
+    assert packed == [brute.brute_pack(f, v, w) for v in vecs]
+    for step in vecs[:7]:
+        sums = [[f.add(a, b) for a, b in zip(v, step)] for v in vecs]
+        assert packing.translates(packed, packing.pack(step)) == [brute.brute_pack(f, v, w) for v in sums]
+        masks = packing.supports([packing.pack(v) for v in sums])
+        assert all(m & ~packing.full == 0 for m in masks)
+        read = [{i for i in range(n) if m >> i * w + w - 1 & 1} for m in masks]
+        assert read == [{i for i, a in enumerate(v) if a} for v in sums]

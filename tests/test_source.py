@@ -1,5 +1,6 @@
 """Static checks on the package source: no dead helpers, no unused
-imports, no private attributes read across objects, and a light import.
+imports, no private attributes read across objects, a light import, and
+a cap on the package's total lines.
 
 A module-level function or class, or a method, that nothing in the
 package names and that `rghw/__init__.py` does not re-export is dead
@@ -20,6 +21,9 @@ from pathlib import Path
 import rghw
 
 PACKAGE = Path(rghw.__file__).parent
+# lines of src/rghw/*.py before the families route moved to tests/brute.py;
+# the package may shrink below it but not grow past it
+SOURCE_LINE_CAP = 2068
 
 
 def parsed_modules() -> dict:
@@ -141,6 +145,11 @@ def test_no_unused_imports():
 
 def test_no_private_attributes_read_across_objects():
     assert foreign_private_reads(parsed_modules()) == []
+
+
+def test_source_line_budget():
+    lines = {path.name: len(path.read_text().splitlines()) for path in PACKAGE.glob("*.py")}
+    assert sum(lines.values()) <= SOURCE_LINE_CAP, lines
 
 
 def test_import_leaves_out_dataclasses_and_inspect():
