@@ -26,6 +26,15 @@ and `add_rows` (x + c*y, elementwise) work on whole rows, in list
 comprehensions of table lookups: the grid evaluator and the row
 reductions of `codes` and `oracle` go through them, and `vandermonde`
 gives a grid its power columns.
+
+`PackedVectors` holds vectors of GF(q)^n as single ints for the support
+oracle's cosets, one slot per base-p digit, so that a vector sum works
+on all coordinates at once.  In characteristic 2 a slot is one bit: the
+j-th digits of all coordinates form bit plane j, a sum is an XOR, and a
+support mask ORs the planes together.  For odd p a slot is wider and a
+sum is one int add with a carry correction.  `pack` reads a q-entry
+table of each encoding's digits spread into slots, which also gives
+`_powers` every encoding in packed form.
 """
 
 from __future__ import annotations
@@ -159,7 +168,8 @@ class PackedVectors:
 
     def supports(self, packed: list) -> list:
         """Support mask of every vector in `packed`; for GF(2), `packed` itself."""
-        ones, top = self.ones, self.top  # p = 2: a set bit is a nonzero digit
+        ones, top = self.ones, self.top
+        # a set bit is a nonzero digit (p = 2), or the top bit of a nonzero slot (odd p)
         nonzero = packed if self.p == 2 else [x + ones & top for x in packed]
         if self.e == 1:
             return nonzero

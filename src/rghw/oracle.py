@@ -10,7 +10,8 @@ with each other; `verify` runs both, and `hierarchy --oracle` the first:
   D exactly once.  It minimizes |supp(D)| = |union of generator
   supports| with branch-and-bound on the running support union, over
   echelon-valid rows only.  Candidate rows are built as packed-int
-  cosets (gf.PackedVectors), so a translate is one int add and its
+  cosets (gf.PackedVectors), so a translate is one XOR in characteristic
+  2 and, for odd p, one int add with a carry correction, and its
   support mask is read off the nonzero slots; a pivot's candidates are
   one sorted list of int keys, with no tuple per row.  Relative weights
   strictly increase, M_{i} + r - i <= M_r for i < r (Luo, Mitrpant, Vinck, Chen,
