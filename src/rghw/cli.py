@@ -55,7 +55,10 @@ def _code_query(args):
     subsets = None
     if args.subsets:
         subsets = [parse_ints(piece, "subset") for piece in args.subsets.split(";")]
-    shape = check_sizes(field, sizes, subsets, warn=lambda text: print(text, file=sys.stderr))
+    shape = check_sizes(field, sizes, subsets)
+    if shape.d != tuple(sizes):
+        moved = f"sorted ascending to {list(shape.d)} (permutation {list(shape.permutation)})"
+        print(f"WARNING: sizes {sizes} {moved}", file=sys.stderr)
     band = DegreeBand(args.u2, args.u1)
     check_band(shape, band)
     return field, sizes, subsets, shape, band
@@ -194,12 +197,10 @@ def run_verify_grid(
     for q in qs:
         field = Field(q)
         for sizes in shapes:
-            if max(sizes) > q:
-                continue
-            shape = BoxShape(sizes)
-            if shape.n > max_n:
+            if max(sizes) > q or prod(sizes) > max_n:
                 continue
             grid = build_grid(field, sizes)
+            shape = grid.shape
             codes = {u: build_code(grid, u) for u in range(shape.k + 1)}
             for u1 in range(shape.k + 1):
                 for u2 in range(-1, u1):

@@ -1,10 +1,12 @@
 """Affine Cartesian evaluation codes and the small linear algebra they need.
 
 A CartesianGrid is a product A_1 x ... x A_m of distinct-element subsets
-of GF(q), with |A_i| = d_i ascending.  Points are ordered mixed-radix
-(last coordinate fastest), which makes the position of a point equal to
-the mixed-radix encoding of its index tuple: the map from grid points to
-box points is position-preserving by construction.
+of GF(q), with |A_i| = d_i ascending; its constructor (also named
+`build_grid`, as CartesianCode's is `build_code`) runs `check_sizes`, the
+one check of sizes and explicit subsets, once.  Points are ordered
+mixed-radix (last coordinate fastest), which makes the position of a
+point equal to the mixed-radix encoding of its index tuple: the map from
+grid points to box points is position-preserving by construction.
 
 A grid evaluates a polynomial one coordinate at a time on whole rows:
 it keeps the power columns [a^e for a in A_i] of every coordinate, and
@@ -70,6 +72,10 @@ def rref(rows: Iterable[Sequence[int]], field: Field):
 class CartesianGrid:
     """Evaluation point set A_1 x ... x A_m with per-coordinate power columns.
 
+    `sizes` are sorted ascending, and explicit `subsets` (one per size, in
+    the order given) with them; without subsets, `policy` "first" takes the
+    lowest d_i encodings of the field as A_i, and "last" the highest.
+
     The grid is a product, so the values of sum_e c_e x^e at every point
     are the Kronecker product of the per-coordinate Vandermonde maps
     [a^e for a in A_i] applied to the coefficients; `evaluate` applies
@@ -78,14 +84,21 @@ class CartesianGrid:
 
     __slots__ = ("field", "shape", "subsets", "_cols")
 
-    def __init__(self, field: Field, shape: BoxShape, subsets: Sequence[Sequence[int]]):
-        subsets = tuple(tuple(s) for s in subsets)
-        check_sizes(field, shape.d, subsets)
+    def __init__(self, field: Field, sizes: Iterable[int], subsets=None, policy="first"):
+        shape = check_sizes(field, tuple(sizes), subsets)
+        if subsets is not None:  # follow the sizes into ascending order
+            subsets = [subsets[i] for i in shape.permutation]
+        elif policy == "first":
+            subsets = [field.elements()[:d] for d in shape.d]
+        elif policy == "last":
+            subsets = [field.elements()[field.q - d :] for d in shape.d]
+        else:
+            raise ShapeMismatch(f"unknown subset policy {policy!r}")
         self.field = field
         self.shape = shape
-        self.subsets = subsets
+        self.subsets = tuple(tuple(s) for s in subsets)
         # _cols[i][e] = [a ** e for a in subsets[i]] for e up to d_i - 1
-        self._cols = [field.vandermonde(sub, d) for d, sub in zip(shape.d, subsets)]
+        self._cols = [field.vandermonde(sub, d) for d, sub in zip(shape.d, self.subsets)]
 
     def monomial_values(self, exp) -> tuple:
         """Values of x^exp at every grid point, in point order."""
@@ -120,10 +133,9 @@ class CartesianGrid:
         return f"CartesianGrid(GF({self.field.q}), {self.shape.d})"
 
 
-def check_sizes(field: Field, sizes, subsets=None, warn=None) -> BoxShape:
+def check_sizes(field: Field, sizes, subsets=None) -> BoxShape:
     """Ascending shape of `sizes`, checked against GF(q) with any explicit
-    subsets (one per size, of that size, of distinct GF(q) encodings); a
-    reordering of `sizes` is reported through `warn`."""
+    subsets (one per size, of that size, of distinct GF(q) encodings)."""
     shape = BoxShape(sizes)
     if shape.d[-1] > field.q:
         raise SubsetTooLarge(f"d_m = {shape.d[-1]} > q = {field.q}")
@@ -137,36 +149,10 @@ def check_sizes(field: Field, sizes, subsets=None, warn=None) -> BoxShape:
         for g in sub:
             if not 0 <= g < field.q:
                 raise ShapeMismatch(f"element {g!r} is not a GF({field.q}) encoding")
-    if tuple(sizes) != shape.d and warn is not None:
-        warn(
-            f"WARNING: sizes {list(sizes)} sorted ascending to {list(shape.d)} "
-            f"(permutation {list(shape.permutation)})"
-        )
     return shape
 
 
-def build_grid(
-    field: Field,
-    sizes: Iterable[int],
-    subsets: Sequence[Sequence[int]] | None = None,
-    policy: str = "first",
-) -> CartesianGrid:
-    """Grid over `sizes`; sizes are normalized ascending (the permutation is
-    applied to explicit subsets too).
-
-    policy picks default subsets when none are given: "first" takes the
-    lowest d_i encodings of the field, "last" the highest.
-    """
-    shape = check_sizes(field, tuple(sizes), subsets)
-    if subsets is not None:
-        chosen = [subsets[shape.permutation[i]] for i in range(shape.m)]
-    elif policy == "first":
-        chosen = [field.elements()[: shape.d[i]] for i in range(shape.m)]
-    elif policy == "last":
-        chosen = [field.elements()[field.q - shape.d[i] :] for i in range(shape.m)]
-    else:
-        raise ShapeMismatch(f"unknown subset policy {policy!r}")
-    return CartesianGrid(field, shape, chosen)
+build_grid = CartesianGrid
 
 
 class CartesianCode:
@@ -215,5 +201,4 @@ class CartesianCode:
         )
 
 
-def build_code(grid: CartesianGrid, d: int) -> CartesianCode:
-    return CartesianCode(grid, d)
+build_code = CartesianCode

@@ -40,9 +40,7 @@ on `_coset_masks` and `_coset_digits` here.
 All enumeration is deterministic (fixed candidate orders, ties broken by
 ascending coefficient encoding), so two runs return identical witnesses.
 Every oracle spends against an OracleBudget and raises BudgetExceeded --
-a hard error, never a wrong answer.  `prune=False` switches off every
-value-preserving shortcut of the support route for reference runs on
-tiny inputs.
+a hard error, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -181,7 +179,6 @@ class _SupportSearch:
         self.g2rows = tuple(c2.G) if c2 is not None else ()
         ell = self.ell = len(self.wrows)
         packing = PackedVectors(field.p, field.e, c1.length)
-        self.row_masks = packing.supports([packing.pack(v) for v in self.wrows])
         self.shift = ((field.q ** (ell - 1 + len(self.g2rows)) - 1) << ell).bit_length()
         self.masks, self.candidates = [], []
         for p in range(ell):
@@ -221,35 +218,33 @@ class _SupportSearch:
                 vec = field.add_rows(vec, g, c)
         return tuple(vec)
 
-    def rank(self, r: int, meter: _Meter, prune: bool):
-        """(M_r, witness rows).  With pruning, rank r stops at the bound
-        its highest held rank i < r gives, M_i + r - i (M_0 = 0), and is
-        held, charged what it cost then; without, it runs alone, with no
-        bound and nothing held."""
-        if not prune:
-            value, rows = self.run(r, meter, False, 0)
-        elif r in self.solved:
+    def rank(self, r: int, meter: _Meter):
+        """(M_r, witness rows).  Rank r stops at the bound its highest held
+        rank i < r gives, M_i + r - i (M_0 = 0), and is held, charged what
+        it cost then."""
+        if r in self.solved:
             value, rows, states = self.solved[r]
             meter.spend(states)
         else:
             below = max((j for j in self.solved if j < r), default=0)
             floor = (self.solved[below][0] if below else 0) + r - below
             start = meter.states
-            value, rows = self.run(r, meter, True, floor)
+            value, rows = self.run(r, meter, floor)
             self.solved[r] = (value, rows, meter.states - start)
         return value, [self.row_vector(p, enc) for p, enc in rows]
 
-    def run(self, r: int, meter: _Meter, prune: bool, floor: int):
+    def run(self, r: int, meter: _Meter, floor: int):
         """Best (support size, [(pivot, encoding)]) of rank r, stopping at
         the first one of size `floor`."""
         # deterministic warm start: the r lowest-support W basis rows span a
-        # valid D (identity echelon pattern, zero map into C2)
-        base_masks = self.row_masks
-        order = sorted(range(self.ell), key=lambda i: (base_masks[i].bit_count(), i))
+        # valid D (identity echelon pattern, zero map into C2); masks[p][0],
+        # encoding 0, is the support of w_p itself
+        masks = self.masks
+        order = sorted(range(self.ell), key=lambda i: (masks[i][0].bit_count(), i))
         start = sorted(order[:r])
         union = 0
         for p in start:
-            union |= base_masks[p]
+            union |= masks[p][0]
         best = union.bit_count()
         best_rows = [(p, 0) for p in start]
         if best == floor:
@@ -271,11 +266,11 @@ class _SupportSearch:
                     rows = filterfalse(later.__and__, self.candidates[p])
                 i = -1
                 for i, key in enumerate(rows):
-                    if prune and key >> shift >= limit:
+                    if key >> shift >= limit:
                         break
                     enc = (key & low) >> ell
-                    merged = union_mask | self.masks[p][enc]
-                    if prune and merged.bit_count() >= limit:
+                    merged = union_mask | masks[p][enc]
+                    if merged.bit_count() >= limit:
                         continue
                     chosen.append((p, enc))
                     if depth + 1 == r:
@@ -310,7 +305,6 @@ def oracle_rghw_support(
     c2: CartesianCode | None,
     r: int,
     budget: OracleBudget | None = None,
-    prune: bool = True,
 ) -> OracleResult:
     """Exact min |supp(D)| over r-dim subspaces D of C1 with trivial
     intersection with C2 (C2 = None means the zero code)."""
@@ -324,7 +318,7 @@ def oracle_rghw_support(
         _held = None
         search = _SupportSearch(c1, c2, meter)
         _held = (c1, c2, search)
-    value, rows = search.rank(r, meter, prune)
+    value, rows = search.rank(r, meter)
     return OracleResult(
         value=value,
         witnesses=tuple(rows),

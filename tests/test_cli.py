@@ -372,6 +372,14 @@ def test_unsorted_sizes_warns_and_normalizes(capsys):
     assert "sorted ascending to [2, 3]" in err
     assert "permutation [1, 0]" in err
     assert out.splitlines()[0] == "q=4 sizes=[2, 3] u1=1 u2=-1"
+    # the commands that also build a grid warn once, too
+    warning = "WARNING: sizes [3, 2] sorted ascending to [2, 3] (permutation [1, 0])\n"
+    for command in (("hierarchy", "--oracle"), ("maximal", "--r", "2")):
+        code, out, err = run_cli(
+            capsys, *command, "--q", "4", "--sizes", "3,2", "--u1", "1", "--u2", "-1"
+        )
+        assert code == 0
+        assert err == warning
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -111,6 +111,13 @@ def test_oracles_agree_with_formula_small():
                     check_families_witness(fam, grid, band, r)
 
 
+SMALL_BAND_CASES = (
+    (F2, (2, 2), DegreeBand(-1, 1), 2),
+    (F2, (2, 2), DegreeBand(1, 2), 1),
+    (F3, (2, 3), DegreeBand(0, 2), 2),
+)
+
+
 def test_support_matches_subspace_enumeration():
     # Definition-level cross-check: enumerate every r-tuple of codewords.
     grid = build_grid(F2, (2, 2))
@@ -125,6 +132,16 @@ def test_support_matches_subspace_enumeration():
     for r in (1, 2):
         expected = brute.brute_min_support_subspaces(c1.G, F3, r, forbidden_rows=c2.G)
         assert oracle_rghw_support(c1, c2, r).value == expected
+    # lone ranks on fresh pairs, with their witnesses
+    for field, sizes, band, r in SMALL_BAND_CASES:
+        grid = build_grid(field, sizes)
+        c1 = build_code(grid, band.u1)
+        c2 = build_code(grid, band.u2) if band.u2 >= 0 else None
+        forbidden = c2.G if c2 is not None else ()
+        expected = brute.brute_min_support_subspaces(c1.G, field, r, forbidden_rows=forbidden)
+        result = oracle_rghw_support(c1, c2, r)
+        assert result.value == expected
+        check_support_witness(result, c1, c2, r)
 
 
 def default_grid_calls(max_n):
@@ -240,19 +257,9 @@ def test_families_results_pinned():
 
 
 def test_pruning_does_not_change_results():
-    cases = [
-        (F2, (2, 2), DegreeBand(-1, 1), 2),
-        (F2, (2, 2), DegreeBand(1, 2), 1),
-        (F3, (2, 3), DegreeBand(0, 2), 2),
-    ]
-    for field, sizes, band, r in cases:
+    # the families reference against its own unpruned search
+    for field, sizes, band, r in SMALL_BAND_CASES:
         grid = build_grid(field, sizes)
-        c1 = build_code(grid, band.u1)
-        c2 = build_code(grid, band.u2) if band.u2 >= 0 else None
-        fast = oracle_rghw_support(c1, c2, r, prune=True)
-        slow = oracle_rghw_support(c1, c2, r, prune=False)
-        assert fast.value == slow.value
-        assert fast.witnesses == slow.witnesses
         ffast = oracle_max_zeros_families(grid, band, r, prune=True)
         fslow = oracle_max_zeros_families(grid, band, r, prune=False)
         assert ffast.value == fslow.value
@@ -297,10 +304,9 @@ def test_budget_refuses_huge_coset_with_printable_count():
 def test_budget_time_exhausted():
     grid = build_grid(F3, (3, 3))
     c1 = build_code(grid, 3)
-    with pytest.raises(BudgetExceeded):
-        oracle_rghw_support(
-            c1, None, 2, budget=OracleBudget(time_cap=0), prune=False
-        )
+    with pytest.raises(BudgetExceeded) as err:  # refused in the set-up's first coset
+        oracle_rghw_support(c1, None, 2, budget=OracleBudget(time_cap=0))
+    assert "time budget exhausted after 2186 states" in str(err.value)
 
 
 def test_budget_window_and_families():

@@ -135,12 +135,98 @@ def foreign_private_reads(modules: dict) -> list:
     return found
 
 
+# defaulted parameters that no call in the package passes: argv is passed
+# only by callers outside it (tests, embedders), and None means sys.argv
+UNPASSED_DEFAULT_EXEMPT = {("cli.py", "main", "argv")}
+
+
+def functions(tree):
+    """(qualified name, node, bound) of every function and method, nested
+    ones included; bound is True for a method, whose first parameter a
+    call does not pass."""
+    owners = {
+        id(item): node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = owners.get(id(node))
+            yield (f"{owner}.{node.name}" if owner else node.name), node, owner is not None
+
+
+def calls_by_name(modules: dict) -> dict:
+    """{callee name: [(positional count, keyword names)]} of every call in
+    the package, a callee named by its variable or attribute name; a call
+    through a module-level alias (`alias = Target`) counts for the target,
+    and a `*` or `**` argument passes every parameter."""
+    aliases = {}
+    for tree in modules.values():
+        for node in tree.body:
+            if (
+                isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Name)
+                and [type(t) for t in node.targets] == [ast.Name]
+            ):
+                aliases[node.targets[0].id] = node.value.id
+    calls: dict = {}
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            everything = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords
+            )
+            passed = float("inf") if everything else len(node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(aliases.get(name, name), []).append((passed, keywords))
+    return calls
+
+
+def unpassed_defaults(modules: dict) -> list:
+    """Defaulted parameters of a function or method that no call in the
+    package passes, by keyword or by position; a call to a class counts
+    for its __init__ and __new__."""
+    calls = calls_by_name(modules)
+    found = []
+    for module, tree in modules.items():
+        for qualname, node, bound in functions(tree):
+            name = qualname.rsplit(".", 1)[-1]
+            if name in ("__init__", "__new__"):
+                name = qualname.split(".")[0]
+            seen = calls.get(name, [])
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = [
+                (arg, i - bound)
+                for i, arg in enumerate(positional)
+                if i >= len(positional) - len(args.defaults)
+            ]
+            defaulted += [
+                (arg, float("inf"))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None
+            ]
+            for arg, index in defaulted:
+                hit = any(count > index or arg.arg in keywords for count, keywords in seen)
+                if not hit and (module, qualname, arg.arg) not in UNPASSED_DEFAULT_EXEMPT:
+                    found.append((module, node.lineno, f"{qualname}({arg.arg})"))
+    return [f"{module}:{line} {what}" for module, line, what in sorted(found)]
+
+
 def test_no_dead_helpers():
     assert dead_definitions(parsed_modules()) == []
 
 
 def test_no_unused_imports():
     assert unused_imports(parsed_modules()) == []
+
+
+def test_no_unpassed_defaults():
+    assert unpassed_defaults(parsed_modules()) == []
 
 
 def test_no_private_attributes_read_across_objects():
@@ -179,3 +265,21 @@ def test_checks_catch_what_they_look_for():
         "    return field._log, self._log, rec._replace(), field.__class__, g()._exp\n"
     )
     assert foreign_private_reads({"m.py": ast.parse(private)}) == ["m.py:2 field._log", "m.py:2 g()._exp"]
+    defaults = (
+        "class Grid:\n"
+        "    def __init__(self, sizes, policy='first', spare=None):\n        self.k = 0\n"
+        "    def scale(self, k=1, *, fast=False, slow=False):\n        return k\n"
+        "make = Grid\n"
+        "def main(argv=None, *rest, **extra):\n"
+        "    make((2,), 'last').scale(2)\n"
+        "    return Grid((2,)).scale(fast=True)\n"
+    )
+    assert unpassed_defaults({"m.py": ast.parse(defaults)}) == [
+        "m.py:2 Grid.__init__(spare)",
+        "m.py:4 Grid.scale(slow)",
+        "m.py:7 main(argv)",
+    ]
+    assert unpassed_defaults({"m.py": ast.parse(defaults + "main(*())\n")}) == [
+        "m.py:2 Grid.__init__(spare)",
+        "m.py:4 Grid.scale(slow)",
+    ]
