@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import rghw
-from rghw import cli, weights
+from rghw import cli, codes, weights
 from rghw.cli import main
 
 pytestmark = pytest.mark.usefixtures("capsys")
@@ -363,7 +363,7 @@ def test_maximal_takes_no_budget_options(capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_unsorted_sizes_warns_and_normalizes(capsys):
+def test_unsorted_sizes_warns_and_normalizes(capsys, monkeypatch):
     code, out, err = run_cli(
         capsys, "hierarchy", "--q", "4", "--sizes", "3,2", "--u1", "1", "--u2", "-1"
     )
@@ -372,14 +372,25 @@ def test_unsorted_sizes_warns_and_normalizes(capsys):
     assert "sorted ascending to [2, 3]" in err
     assert "permutation [1, 0]" in err
     assert out.splitlines()[0] == "q=4 sizes=[2, 3] u1=1 u2=-1"
-    # the commands that also build a grid warn once, too
+    # the commands that also build a grid warn once, too, and check the
+    # sizes twice: once for the options, once in the grid's constructor
+    checks, check_sizes = [], codes.check_sizes
+
+    def counted(*args):
+        checks.append(args)
+        return check_sizes(*args)
+
+    monkeypatch.setattr(cli, "check_sizes", counted)
+    monkeypatch.setattr(codes, "check_sizes", counted)
     warning = "WARNING: sizes [3, 2] sorted ascending to [2, 3] (permutation [1, 0])\n"
     for command in (("hierarchy", "--oracle"), ("maximal", "--r", "2")):
+        checks.clear()
         code, out, err = run_cli(
             capsys, *command, "--q", "4", "--sizes", "3,2", "--u1", "1", "--u2", "-1"
         )
         assert code == 0
         assert err == warning
+        assert len(checks) == 2
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

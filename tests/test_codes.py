@@ -4,9 +4,10 @@ import sys
 import pytest
 
 import brute
+from rghw import codes
 from rghw.boxcomb import DegreeBand, band_size, iter_band
 from rghw.cli import DEFAULT_GRID_QS, DEFAULT_GRID_SHAPES
-from rghw.codes import CartesianGrid, build_code, build_grid, check_sizes, rref
+from rghw.codes import CartesianCode, CartesianGrid, build_code, build_grid, check_sizes, rref
 from rghw.errors import (
     DegreeOutOfRange,
     DuplicateElements,
@@ -49,6 +50,16 @@ def test_grid_explicit_subsets_follow_sort_permutation():
     grid = build_grid(F3, (3, 2), subsets=[(0, 1, 2), (0, 2)])
     assert shape.d == grid.shape.d == (2, 3)
     assert shape.permutation == grid.shape.permutation == (1, 0)
+    assert grid.subsets == ((0, 2), (0, 1, 2))
+
+
+def test_grid_has_one_constructor_that_checks_once(monkeypatch):
+    assert build_grid is CartesianGrid
+    assert build_code is CartesianCode
+    calls = []
+    monkeypatch.setattr(codes, "check_sizes", lambda *args: calls.append(args) or check_sizes(*args))
+    grid = build_grid(F3, (3, 2), [(0, 1, 2), (0, 2)])
+    assert calls == [(F3, (3, 2), [(0, 1, 2), (0, 2)])]
     assert grid.subsets == ((0, 2), (0, 1, 2))
 
 

@@ -159,8 +159,9 @@ def functions(tree):
 def calls_by_name(modules: dict) -> dict:
     """{callee name: [(positional count, keyword names)]} of every call in
     the package, a callee named by its variable or attribute name; a call
-    through a module-level alias (`alias = Target`) counts for the target,
-    and a `*` or `**` argument passes every parameter."""
+    through a module-level alias (`alias = Target`) counts for the target.
+    A `*` argument passes every positional parameter; a `**` argument puts
+    None among the keywords, and passes every parameter."""
     aliases = {}
     for tree in modules.values():
         for node in tree.body:
@@ -177,10 +178,8 @@ def calls_by_name(modules: dict) -> dict:
                 continue
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            everything = any(isinstance(a, ast.Starred) for a in node.args) or any(
-                k.arg is None for k in node.keywords
-            )
-            passed = float("inf") if everything else len(node.args)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            passed = float("inf") if starred else len(node.args)
             keywords = {k.arg for k in node.keywords}
             calls.setdefault(aliases.get(name, name), []).append((passed, keywords))
     return calls
@@ -194,7 +193,7 @@ def unpassed_defaults(modules: dict) -> list:
     found = []
     for module, tree in modules.items():
         for qualname, node, bound in functions(tree):
-            name = qualname.rsplit(".", 1)[-1]
+            name = node.name
             if name in ("__init__", "__new__"):
                 name = qualname.split(".")[0]
             seen = calls.get(name, [])
@@ -211,7 +210,10 @@ def unpassed_defaults(modules: dict) -> list:
                 if default is not None
             ]
             for arg, index in defaulted:
-                hit = any(count > index or arg.arg in keywords for count, keywords in seen)
+                hit = any(
+                    count > index or arg.arg in keywords or None in keywords
+                    for count, keywords in seen
+                )
                 if not hit and (module, qualname, arg.arg) not in UNPASSED_DEFAULT_EXEMPT:
                     found.append((module, node.lineno, f"{qualname}({arg.arg})"))
     return [f"{module}:{line} {what}" for module, line, what in sorted(found)]
@@ -279,7 +281,5 @@ def test_checks_catch_what_they_look_for():
         "m.py:4 Grid.scale(slow)",
         "m.py:7 main(argv)",
     ]
-    assert unpassed_defaults({"m.py": ast.parse(defaults + "main(*())\n")}) == [
-        "m.py:2 Grid.__init__(spare)",
-        "m.py:4 Grid.scale(slow)",
-    ]
+    starred = defaults + "main(*())\nGrid((2,)).scale(**{})\n"
+    assert unpassed_defaults({"m.py": ast.parse(starred)}) == ["m.py:2 Grid.__init__(spare)"]
