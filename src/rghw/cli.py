@@ -17,7 +17,7 @@ from math import prod
 from random import Random
 
 from .boxcomb import BoxShape, DegreeBand, band_size, check_band
-from .codes import build_code, build_grid, check_sizes
+from .codes import CartesianCode, CartesianGrid
 from .errors import BudgetExceeded, RghwError
 from .gf import Field
 from .oracle import OracleBudget, oracle_rghw_support, oracle_rghw_window
@@ -48,20 +48,24 @@ def _budget(args) -> OracleBudget:
 
 
 def _code_query(args):
-    """(field, sizes, subsets, shape, band) of the code options, checked in
-    this order; a reordering of the sizes is warned about on stderr."""
+    """(grid, band) of the code options.  Checks --subsets beside --policy,
+    then field, sizes, subsets and band, in this order; a reordering of the
+    sizes is warned about on stderr."""
+    if args.subsets and args.policy:
+        raise ValueError("--policy picks the subsets, so it cannot be given with --subsets")
     field = Field(args.q)
     sizes = parse_ints(args.sizes, "sizes")
     subsets = None
     if args.subsets:
         subsets = [parse_ints(piece, "subset") for piece in args.subsets.split(";")]
-    shape = check_sizes(field, sizes, subsets)
+    grid = CartesianGrid(field, sizes, subsets, args.policy or "first")
+    shape = grid.shape
     if shape.d != tuple(sizes):
         moved = f"sorted ascending to {list(shape.d)} (permutation {list(shape.permutation)})"
         print(f"WARNING: sizes {sizes} {moved}", file=sys.stderr)
     band = DegreeBand(args.u2, args.u1)
     check_band(shape, band)
-    return field, sizes, subsets, shape, band
+    return grid, band
 
 
 # -- output helpers -----------------------------------------------------------------
@@ -122,28 +126,28 @@ def _print_hierarchy(q, shape, band, records, fmt, oracle) -> None:
 
 
 def cmd_hierarchy(args) -> int:
-    field, sizes, subsets, shape, band = _code_query(args)
+    grid, band = _code_query(args)
+    shape = grid.shape
     budget = _budget(args)  # checked with or without --oracle
     if args.r is not None:
         records = [rghw(WeightQuery(shape, band, args.r))]
     else:
         records = iter_hierarchy(shape, band)
     if args.oracle:
-        grid = build_grid(field, sizes, subsets=subsets, policy=args.policy)
-        c1 = build_code(grid, band.u1)
-        c2 = build_code(grid, band.u2) if band.u2 >= 0 else None
+        c1 = CartesianCode(grid, band.u1)
+        c2 = CartesianCode(grid, band.u2) if band.u2 >= 0 else None
         records = [
             rec._replace(oracle=oracle_rghw_support(c1, c2, rec.r, budget).value)
             for rec in records
         ]
-    _print_hierarchy(field.q, shape, band, records, args.format, args.oracle)
+    _print_hierarchy(grid.field.q, shape, band, records, args.format, args.oracle)
     return 0
 
 
 def cmd_maximal(args) -> int:
-    field, sizes, subsets, shape, band = _code_query(args)
+    grid, band = _code_query(args)
+    field, shape = grid.field, grid.shape
     record = rghw(WeightQuery(shape, band, args.r))
-    grid = build_grid(field, sizes, subsets=subsets, policy=args.policy)
     family = maximal_family(grid, band, args.r)
     zeros = common_zero_count(family, grid)
     support = shape.n - zeros
@@ -199,9 +203,9 @@ def run_verify_grid(
         for sizes in shapes:
             if max(sizes) > q or prod(sizes) > max_n:
                 continue
-            grid = build_grid(field, sizes)
+            grid = CartesianGrid(field, sizes)
             shape = grid.shape
-            codes = {u: build_code(grid, u) for u in range(shape.k + 1)}
+            codes = {u: CartesianCode(grid, u) for u in range(shape.k + 1)}
             for u1 in range(shape.k + 1):
                 for u2 in range(-1, u1):
                     band = DegreeBand(u2, u1)
@@ -249,7 +253,7 @@ def run_footprint_sweep(q: int, count: int, seed: int):
         for sizes in itertools.combinations_with_replacement(sides, m)
         if prod(sizes) <= FOOTPRINT_MAX_N
     )
-    grids = {sizes: build_grid(field, sizes) for sizes in shapes}
+    grids = {sizes: CartesianGrid(field, sizes) for sizes in shapes}
     rng = Random(seed)
     violations = []
     for _ in range(count):
@@ -319,7 +323,7 @@ def _add_code_options(sub) -> None:
     sub.add_argument("--u1", type=int, required=True)
     sub.add_argument("--u2", type=int, required=True, help="-1 for the zero subcode")
     sub.add_argument("--subsets", help="explicit A_i as semicolon separated int lists")
-    sub.add_argument("--policy", choices=("first", "last"), default="first")
+    sub.add_argument("--policy", choices=("first", "last"), help="A_i without --subsets (default first)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,16 +2,17 @@
 
 A CartesianGrid is a product A_1 x ... x A_m of distinct-element subsets
 of GF(q), with |A_i| = d_i ascending; its constructor (also named
-`build_grid`, as CartesianCode's is `build_code`) runs `check_sizes`, the
-one check of sizes and explicit subsets, once.  Points are ordered
-mixed-radix (last coordinate fastest), which makes the position of a
-point equal to the mixed-radix encoding of its index tuple: the map from
-grid points to box points is position-preserving by construction.
+`build_grid`, as CartesianCode's is `build_code`) is the one check of
+sizes and explicit subsets.  Points are ordered mixed-radix (last
+coordinate fastest), which makes the position of a point equal to the
+mixed-radix encoding of its index tuple: the map from grid points to box
+points is position-preserving by construction.
 
 A grid evaluates a polynomial one coordinate at a time on whole rows:
-it keeps the power columns [a^e for a in A_i] of every coordinate, and
-each stage is Kronecker products and sums of rows, through the Field's
-row kernels (`Field.kron`, `Field.add_rows`).
+each stage is Kronecker products and sums of rows with the power columns
+[a^e for a in A_i], through the Field's row kernels (`Field.kron`,
+`Field.add_rows`).  A column is built when `evaluate` first reads it,
+and kept, so a grid costs no more to build than its subsets.
 
 A CartesianCode of degree bound u evaluates every monomial x^a with
 deg(a) <= u (exponents in the box) on the grid; rows of the generator
@@ -69,12 +70,26 @@ def rref(rows: Iterable[Sequence[int]], field: Field):
     return [tuple(r) for r in reduced], pivots
 
 
+class _Powers(dict):
+    """{e: [a^e for a in A]} of one grid coordinate A; a column is built on first read."""
+
+    __slots__ = ("field", "subset")
+
+    def __init__(self, field: Field, subset):
+        self.field, self.subset = field, subset
+
+    def __missing__(self, e):
+        column = self[e] = self.field.powers(self.subset, e)
+        return column
+
+
 class CartesianGrid:
-    """Evaluation point set A_1 x ... x A_m with per-coordinate power columns.
+    """Evaluation point set A_1 x ... x A_m; power columns built on first read.
 
     `sizes` are sorted ascending, and explicit `subsets` (one per size, in
-    the order given) with them; without subsets, `policy` "first" takes the
-    lowest d_i encodings of the field as A_i, and "last" the highest.
+    the order given, of that size, of distinct GF(q) encodings) with them;
+    without subsets, `policy` "first" takes the lowest d_i encodings of the
+    field as A_i, and "last" the highest.
 
     The grid is a product, so the values of sum_e c_e x^e at every point
     are the Kronecker product of the per-coordinate Vandermonde maps
@@ -85,20 +100,33 @@ class CartesianGrid:
     __slots__ = ("field", "shape", "subsets", "_cols")
 
     def __init__(self, field: Field, sizes: Iterable[int], subsets=None, policy="first"):
-        shape = check_sizes(field, tuple(sizes), subsets)
-        if subsets is not None:  # follow the sizes into ascending order
-            subsets = [subsets[i] for i in shape.permutation]
+        sizes = tuple(sizes)
+        shape = BoxShape(sizes)
+        q = field.q
+        if shape.d[-1] > q:
+            raise SubsetTooLarge(f"d_m = {shape.d[-1]} > q = {q}")
+        if subsets is not None:
+            if len(subsets) != shape.m:
+                raise ShapeMismatch(f"{len(subsets)} subsets for an m = {shape.m} box")
+            for i, (sub, size) in enumerate(zip(subsets, sizes)):
+                if len(sub) != size:
+                    raise ShapeMismatch(f"subset {i} has size {len(sub)}, box side is {size}")
+                if len(set(sub)) != len(sub):
+                    raise DuplicateElements(f"subset {i} repeats elements: {tuple(sub)}")
+                for g in sub:
+                    if not 0 <= g < q:
+                        raise ShapeMismatch(f"element {g!r} is not a GF({q}) encoding")
+            subsets = [subsets[i] for i in shape.permutation]  # as the sizes, ascending
         elif policy == "first":
-            subsets = [field.elements()[:d] for d in shape.d]
+            subsets = [range(d) for d in shape.d]
         elif policy == "last":
-            subsets = [field.elements()[field.q - d :] for d in shape.d]
+            subsets = [range(q - d, q) for d in shape.d]
         else:
             raise ShapeMismatch(f"unknown subset policy {policy!r}")
         self.field = field
         self.shape = shape
         self.subsets = tuple(tuple(s) for s in subsets)
-        # _cols[i][e] = [a ** e for a in subsets[i]] for e up to d_i - 1
-        self._cols = [field.vandermonde(sub, d) for d, sub in zip(shape.d, self.subsets)]
+        self._cols = tuple(_Powers(field, sub) for sub in self.subsets)
 
     def monomial_values(self, exp) -> tuple:
         """Values of x^exp at every grid point, in point order."""
@@ -131,25 +159,6 @@ class CartesianGrid:
 
     def __repr__(self) -> str:
         return f"CartesianGrid(GF({self.field.q}), {self.shape.d})"
-
-
-def check_sizes(field: Field, sizes, subsets=None) -> BoxShape:
-    """Ascending shape of `sizes`, checked against GF(q) with any explicit
-    subsets (one per size, of that size, of distinct GF(q) encodings)."""
-    shape = BoxShape(sizes)
-    if shape.d[-1] > field.q:
-        raise SubsetTooLarge(f"d_m = {shape.d[-1]} > q = {field.q}")
-    if subsets is not None and len(subsets) != shape.m:
-        raise ShapeMismatch(f"{len(subsets)} subsets for an m = {shape.m} box")
-    for i, (sub, size) in enumerate(zip(subsets or (), sizes)):
-        if len(sub) != size:
-            raise ShapeMismatch(f"subset {i} has size {len(sub)}, box side is {size}")
-        if len(set(sub)) != len(sub):
-            raise DuplicateElements(f"subset {i} repeats elements: {tuple(sub)}")
-        for g in sub:
-            if not 0 <= g < field.q:
-                raise ShapeMismatch(f"element {g!r} is not a GF({field.q}) encoding")
-    return shape
 
 
 build_grid = CartesianGrid

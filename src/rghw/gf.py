@@ -24,8 +24,8 @@ q - 1 entries so that sums with zero need none either (see `add`).
 Besides the scalar methods, `kron` (the Kronecker product of two rows)
 and `add_rows` (x + c*y, elementwise) work on whole rows, in list
 comprehensions of table lookups: the grid evaluator and the row
-reductions of `codes` and `oracle` go through them, and `vandermonde`
-gives a grid its power columns.
+reductions of `codes` and `oracle` go through them, and `powers` gives
+a grid its power columns.
 
 `PackedVectors` holds vectors of GF(q)^n as single ints for the support
 oracle's cosets, one slot per base-p digit, so that a vector sum works
@@ -265,9 +265,6 @@ class Field:
     def neg(self, a: int) -> int:
         return self._exp[self._log[a] + self._log_neg1]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         return self._exp[self._log[a] + self._log[b]]
 
@@ -276,21 +273,13 @@ class Field:
             raise DivisionByZero(f"inverse of 0 in GF({self.q})")
         return self._exp[self.q - 1 - self._log[a]]
 
-    def pow(self, a: int, n: int) -> int:
-        if n < 0:
-            return self.inv(self.pow(a, -n))
-        if not a:
-            return 0 if n else 1
-        return self._exp[self._log[a] * n % (self.q - 1)]
-
     # -- whole rows ------------------------------------------------------------
 
-    def vandermonde(self, xs, count: int) -> list[list[int]]:
-        """Rows [x^e for x in xs] for e = 0 .. count-1, read off the logs of xs."""
-        exp, order = self._exp, self.q - 1
-        logs = [self._log[x] for x in xs]
+    def powers(self, xs, e: int) -> list[int]:
+        """The row [x^e for x in xs], for e >= 0, read off the logs of xs."""
+        exp, log, order = self._exp, self._log, self.q - 1
         # zero's log is past `order`: 0^0 = 1 and 0^e = 0 after
-        return [[exp[l * e % order] if l < order else int(not e) for l in logs] for e in range(count)]
+        return [exp[l * e % order] if (l := log[x]) < order else int(not e) for x in xs]
 
     def kron(self, x, y) -> list[int]:
         """Kronecker product of rows x and y: x[i] * y[j] at i * len(y) + j."""
@@ -305,10 +294,6 @@ class Field:
             lc = log[c]
             y = [exp[lc + log[b]] for b in y]
         return [exp[(la := log[a]) + zech[log[b] - la]] for a, b in zip(x, y)]
-
-    def elements(self) -> list[int]:
-        """All field elements in ascending canonical encoding."""
-        return list(range(self.q))
 
     # -- identity --------------------------------------------------------------
 

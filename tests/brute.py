@@ -121,7 +121,7 @@ def rank_gf(rows, field):
             if i != rank and work[i][col]:
                 c = work[i][col]
                 work[i] = [
-                    field.sub(x, field.mul(c, y)) for x, y in zip(work[i], work[rank])
+                    field.add(x, field.neg(field.mul(c, y))) for x, y in zip(work[i], work[rank])
                 ]
         rank += 1
     return rank

@@ -311,7 +311,12 @@ def test_invalid_inputs_exit_2(capsys):
          "--r", "1", "--subsets", "0,1;1,1"),
         ("hierarchy", "--q", "3", "--sizes", "2,2", "--u1", "1", "--u2", "-1",
          "--subsets", "0,1", "--oracle"),
-        # without --oracle no grid is built, and the subsets are checked all the same
+        # --policy picks the subsets, so it cannot come with explicit ones
+        ("maximal", "--q", "4", "--sizes", "2,3", "--u1", "2", "--u2", "-1", "--r", "2",
+         "--subsets", "2,3;0,1,3", "--policy", "first"),
+        ("hierarchy", "--q", "4", "--sizes", "2,3", "--u1", "2", "--u2", "-1",
+         "--subsets", "2,3;0,1,3", "--policy", "last", "--oracle"),
+        # the subsets are checked without --oracle too
         ("hierarchy", "--q", "3", "--sizes", "2,2", "--u1", "1", "--u2", "-1",
          "--subsets", "0,0;0,1"),
         ("hierarchy", "--q", "3", "--sizes", "2,2", "--u1", "1", "--u2", "-1",
@@ -336,6 +341,7 @@ def test_invalid_inputs_exit_2(capsys):
     for argv in bad_calls:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
+        assert out == "", argv
         assert err.startswith("error:"), argv
         assert len(err.splitlines()) == 1, argv
 
@@ -372,25 +378,38 @@ def test_unsorted_sizes_warns_and_normalizes(capsys, monkeypatch):
     assert "sorted ascending to [2, 3]" in err
     assert "permutation [1, 0]" in err
     assert out.splitlines()[0] == "q=4 sizes=[2, 3] u1=1 u2=-1"
-    # the commands that also build a grid warn once, too, and check the
-    # sizes twice: once for the options, once in the grid's constructor
-    checks, check_sizes = [], codes.check_sizes
+    # every command builds one grid, whose constructor is the one check of
+    # the sizes, and warns once
+    grids, init = [], codes.CartesianGrid.__init__
 
-    def counted(*args):
-        checks.append(args)
-        return check_sizes(*args)
+    def counted(self, *args):
+        grids.append(args)
+        init(self, *args)
 
-    monkeypatch.setattr(cli, "check_sizes", counted)
-    monkeypatch.setattr(codes, "check_sizes", counted)
+    monkeypatch.setattr(codes.CartesianGrid, "__init__", counted)
     warning = "WARNING: sizes [3, 2] sorted ascending to [2, 3] (permutation [1, 0])\n"
-    for command in (("hierarchy", "--oracle"), ("maximal", "--r", "2")):
-        checks.clear()
+    for command in (("hierarchy",), ("hierarchy", "--oracle"), ("maximal", "--r", "2")):
+        grids.clear()
         code, out, err = run_cli(
             capsys, *command, "--q", "4", "--sizes", "3,2", "--u1", "1", "--u2", "-1"
         )
         assert code == 0
         assert err == warning
-        assert len(checks) == 2
+        assert len(grids) == 1, command
+
+
+def test_hierarchy_single_rank_on_a_huge_box(capsys):
+    # the query's grid has 10^9 points, and holds only its subsets
+    code, out, err = run_cli(
+        capsys, "hierarchy", "--q", "31627", "--sizes", "31623,31623",
+        "--u1", "63244", "--u2", "-1", "--r", "2",
+    )
+    assert code == 0 and err == ""
+    assert out == (
+        "q=31627 sizes=[31623, 31623] u1=63244 u2=-1\n"
+        "r a_r s M_r max_zeros\n"
+        "2 (31622, 31621) 2 2 1000014127\n"
+    )
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

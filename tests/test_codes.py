@@ -1,5 +1,6 @@
 import itertools
 import sys
+import tracemalloc
 
 import pytest
 
@@ -7,7 +8,8 @@ import brute
 from rghw import codes
 from rghw.boxcomb import DegreeBand, band_size, iter_band
 from rghw.cli import DEFAULT_GRID_QS, DEFAULT_GRID_SHAPES
-from rghw.codes import CartesianCode, CartesianGrid, build_code, build_grid, check_sizes, rref
+from rghw.cli import main
+from rghw.codes import CartesianCode, CartesianGrid, build_code, build_grid, rref
 from rghw.errors import (
     DegreeOutOfRange,
     DuplicateElements,
@@ -46,21 +48,67 @@ def test_grid_policies():
 
 
 def test_grid_explicit_subsets_follow_sort_permutation():
-    shape = check_sizes(F3, (3, 2), [(0, 1, 2), (0, 2)])
-    grid = build_grid(F3, (3, 2), subsets=[(0, 1, 2), (0, 2)])
-    assert shape.d == grid.shape.d == (2, 3)
-    assert shape.permutation == grid.shape.permutation == (1, 0)
+    grid = CartesianGrid(F3, (3, 2), subsets=[(0, 1, 2), (0, 2)])
+    assert grid.shape.d == (2, 3)
+    assert grid.shape.permutation == (1, 0)
     assert grid.subsets == ((0, 2), (0, 1, 2))
 
 
-def test_grid_has_one_constructor_that_checks_once(monkeypatch):
+def count_grids(monkeypatch) -> list:
+    """The argument tuples of every CartesianGrid built from here on."""
+    built, init = [], CartesianGrid.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(CartesianGrid, "__init__", counted)
+    return built
+
+
+def test_grid_has_one_constructor_that_checks_once(monkeypatch, capsys):
     assert build_grid is CartesianGrid
     assert build_code is CartesianCode
-    calls = []
-    monkeypatch.setattr(codes, "check_sizes", lambda *args: calls.append(args) or check_sizes(*args))
-    grid = build_grid(F3, (3, 2), [(0, 1, 2), (0, 2)])
-    assert calls == [(F3, (3, 2), [(0, 1, 2), (0, 2)])]
-    assert grid.subsets == ((0, 2), (0, 1, 2))
+    assert not hasattr(codes, "check_sizes")  # the constructor is the check
+    built = count_grids(monkeypatch)
+    query = ("--q", "4", "--sizes", "2,3", "--u1", "2", "--u2", "-1")
+    for command in (("hierarchy",), ("hierarchy", "--oracle"), ("maximal", "--r", "2")):
+        built.clear()
+        assert main([*command, *query]) == 0, capsys.readouterr().err
+        assert built == [(F4, [2, 3], None, "first")], command
+
+
+def test_grid_on_a_huge_box_builds_no_power_table():
+    field = Field(31627)
+    tracemalloc.start()
+    try:
+        grid = CartesianGrid(field, (31623, 31623))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.shape.n == 31623**2
+    # the two subsets, 31,623 ints each, take 2.4 MB; all power columns
+    # would be 2 * 31623**2 entries
+    assert peak < 3 * 2**20
+
+
+def test_grid_builds_each_power_column_once_on_first_read(monkeypatch):
+    built, powers = [], Field.powers
+
+    def counted(self, xs, e):
+        built.append((tuple(xs), e))
+        return powers(self, xs, e)
+
+    monkeypatch.setattr(Field, "powers", counted)
+    grid = CartesianGrid(F4, (4, 3))
+    assert built == []
+    assert grid.monomial_values((2, 0)) == (0, 0, 0, 0, 1, 1, 1, 1, 3, 3, 3, 3)
+    assert built == [((0, 1, 2), 2), ((0, 1, 2, 3), 0)]
+    for d in range(grid.shape.k + 1):
+        CartesianCode(grid, d)
+    grid.evaluate({(1, 3): 1, (2, 3): 1, (0, 1): 2})
+    every = [(sub, e) for sub in grid.subsets for e in range(len(sub))]
+    assert sorted(built) == sorted(every)
 
 
 def test_grid_rejections():

@@ -31,7 +31,6 @@ PRIME_POWERS = prime_powers(2**16)
 def test_prime_field_tables():
     f = Field(5)
     assert f.p == 5 and f.e == 1
-    assert f.elements() == [0, 1, 2, 3, 4]
     assert f.mul(2, 4) == 3
     assert f.add(3, 4) == 2
     assert f.neg(2) == 3
@@ -46,7 +45,6 @@ def test_gf4_canonical_modulus():
     assert f.mul(2, 3) == 1
     assert f.add(2, 3) == 1
     assert f.inv(2) == 3
-    assert f.pow(2, 2) == 3
 
 
 def test_gf8_gf9_arithmetic():
@@ -65,7 +63,7 @@ def test_inv7():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
 def test_field_axioms_exhaustive(q):
     f = Field(q)
-    els = f.elements()
+    els = range(q)
     for a in els:
         assert f.add(a, 0) == a
         assert f.mul(a, 1) == a
@@ -90,7 +88,7 @@ def test_field_axioms_larger(q):
     # Full triple loops get slow here; inverses and zero divisors are
     # still checked exhaustively, associativity on a fixed sample.
     f = Field(q)
-    els = f.elements()
+    els = range(q)
     for a in els:
         if a:
             assert f.mul(a, f.inv(a)) == 1
@@ -123,7 +121,7 @@ def test_large_field_no_tables():
     f = Field(512)
     for a in (1, 2, 3, 100, 511):
         assert f.mul(a, f.inv(a)) == 1
-    assert f.mul(2, f.pow(2, 8)) == f.pow(2, 9)
+    assert f.mul(2, brute.field_pow(f, 2, 8)) == brute.field_pow(f, 2, 9)
 
 
 def test_invalid_orders_rejected():
@@ -138,15 +136,6 @@ def test_division_by_zero():
     f = Field(9)
     with pytest.raises(DivisionByZero):
         f.inv(0)
-    with pytest.raises(DivisionByZero):
-        f.pow(0, -1)
-
-
-def test_pow_negative_exponent():
-    f = Field(7)
-    for a in range(1, 7):
-        assert f.mul(f.pow(a, -2), f.pow(a, 2)) == 1
-    assert f.pow(3, 0) == 1
 
 
 def test_field_equality_and_hash():
@@ -166,14 +155,10 @@ def check_against_reference(f, pairs, elements):
     for a, b in pairs:
         assert f.add(a, b) == brute.field_add(f, a, b), (q, "add", a, b)
         assert f.mul(a, b) == brute.field_mul(f, a, b), (q, "mul", a, b)
-        assert f.sub(a, b) == brute.field_add(f, a, brute.field_neg(f, b)), (q, "sub", a, b)
     for a in elements:
         assert f.neg(a) == brute.field_neg(f, a), (q, "neg", a)
-        for n in (0, 1, 2, 3, q - 2, q - 1, q, 2 * q + 3):
-            assert f.pow(a, n) == brute.field_pow(f, a, n), (q, "pow", a, n)
         if a:
             assert brute.field_mul(f, a, f.inv(a)) == 1, (q, "inv", a)
-            assert brute.field_mul(f, f.pow(a, -3), brute.field_pow(f, a, 3)) == 1
 
 
 @pytest.mark.parametrize("q", [q for q in PRIME_POWERS if q <= 64])
@@ -195,15 +180,13 @@ def test_arithmetic_matches_reference_sampled(q):
 
 @settings(max_examples=50, deadline=None)
 @given(st.sampled_from(PRIME_POWERS), st.integers(0, 2**16), st.integers(0, 2**16),
-       st.integers(0, 2**16), st.integers(-40, 2**17))
-def test_arithmetic_properties_random_fields(q, a, b, c, n):
+       st.integers(0, 2**16))
+def test_arithmetic_properties_random_fields(q, a, b, c):
     f = field(q)
     a, b, c = a % q, b % q, c % q
     check_against_reference(f, [(a, b), (b, c)], [a])
     assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
     assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-    if a:
-        assert f.pow(a, n) == f.mul(f.pow(a, n - 1), a)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
@@ -220,9 +203,10 @@ def test_row_kernels_match_scalar_arithmetic_on_every_pair(q):
         assert f.add_rows(xs, ys, c) == [f.add(a, f.mul(c, b)) for a, b in zip(xs, ys)]
     for a in elements:
         assert f.kron([a], elements) == [f.mul(a, b) for b in elements]
-    assert f.vandermonde(elements, q + 2) == [[f.pow(a, e) for a in elements] for e in range(q + 2)]
+    for e in range(q + 2):
+        assert f.powers(elements, e) == [brute.field_pow(f, a, e) for a in elements]
     assert f.kron([], elements) == f.kron(elements, []) == f.add_rows([], []) == []
-    assert f.vandermonde(elements, 0) == [] and f.vandermonde([], 2) == [[], []]
+    assert f.powers([], 0) == f.powers([], 2) == []
 
 
 @pytest.mark.parametrize("q", [101, 256, 257, 1024])
@@ -237,7 +221,8 @@ def test_row_kernels_match_scalar_arithmetic_on_random_rows(q):
         assert f.add_rows(x, y) == [f.add(a, b) for a, b in zip(x, y)]
         c = rng.randrange(q)
         assert f.add_rows(x, y, c) == [f.add(a, f.mul(c, b)) for a, b in zip(x, y)]
-        assert f.vandermonde(x, 50) == [[f.pow(a, e) for a in x] for e in range(50)]
+        for e in range(50):
+            assert f.powers(x, e) == [brute.field_pow(f, a, e) for a in x]
 
 
 @pytest.mark.parametrize("n", [1, 7, 31, 40])
