@@ -48,8 +48,6 @@ from .polynomials import (
     LeadingTerm,
     MultiPoly,
     common_zero_count,
-    evaluate_on_grid,
-    footprint_count,
     make_maximal_poly,
     maximal_family,
 )

@@ -16,12 +16,12 @@ import sys
 from math import prod
 from random import Random
 
-from .boxcomb import BoxShape, DegreeBand, band_size, check_band
+from .boxcomb import BoxShape, DegreeBand, band_size, check_band, footprint
 from .codes import CartesianCode, CartesianGrid
 from .errors import BudgetExceeded, RghwError
 from .gf import Field
 from .oracle import OracleBudget, oracle_rghw_support, oracle_rghw_window
-from .polynomials import common_zero_count, footprint_count, maximal_family, random_poly
+from .polynomials import common_zero_count, maximal_family, random_poly
 from .weights import WeightQuery, iter_hierarchy, rghw
 
 DEFAULT_GRID_QS = (2, 3, 4)
@@ -51,12 +51,12 @@ def _code_query(args):
     """(grid, band) of the code options.  Checks --subsets beside --policy,
     then field, sizes, subsets and band, in this order; a reordering of the
     sizes is warned about on stderr."""
-    if args.subsets and args.policy:
+    if args.subsets is not None and args.policy:
         raise ValueError("--policy picks the subsets, so it cannot be given with --subsets")
     field = Field(args.q)
     sizes = parse_ints(args.sizes, "sizes")
     subsets = None
-    if args.subsets:
+    if args.subsets is not None:
         subsets = [parse_ints(piece, "subset") for piece in args.subsets.split(";")]
     grid = CartesianGrid(field, sizes, subsets, args.policy or "first")
     shape = grid.shape
@@ -259,11 +259,9 @@ def run_footprint_sweep(q: int, count: int, seed: int):
     for _ in range(count):
         sizes = shapes[rng.randrange(len(shapes))]
         grid = grids[sizes]
-        family = [
-            random_poly(field, grid.shape, rng) for _ in range(rng.randint(1, 3))
-        ]
+        family = [random_poly(field, grid.shape, rng) for _ in range(rng.randint(1, 3))]
         zeros = common_zero_count(family, grid)
-        bound = footprint_count(grid.shape, [f.leading_term().exponent for f in family])
+        bound = len(footprint(grid.shape, [f.leading_term().exponent for f in family]))
         if zeros > bound:
             violations.append((sizes, [f.terms for f in family], zeros, bound))
     return count, violations

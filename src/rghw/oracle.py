@@ -35,7 +35,7 @@ with each other; `verify` runs both, and `hierarchy --oracle` the first:
 
 A third route, which maximizes common grid zeros over families of
 monic polynomials directly, is a test reference in tests/brute.py, built
-on `_coset_masks` and `_coset_digits` here.
+on `_coset_masks` here and the base-q digits of `gf._int_to_poly`.
 
 All enumeration is deterministic (fixed candidate orders, ties broken by
 ascending coefficient encoding), so two runs return identical witnesses.
@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 from .codes import CartesianCode
 from .errors import BudgetExceeded, InvalidBudget, InvalidNesting, RankOutOfRange
-from .gf import PackedVectors
+from .gf import PackedVectors, _int_to_poly
 
 DEFAULT_MAX_STATES = 10**8
 DEFAULT_TIME_CAP = 300
@@ -133,16 +133,6 @@ def _coset_masks(field, packing: PackedVectors, base, gens, meter: _Meter) -> li
     return packing.supports(vectors)
 
 
-def _coset_digits(q: int, enc: int, count: int) -> list:
-    """The generator coefficients of coset vector `enc` as _coset_masks
-    lays them out: digit j of enc in base q is the coefficient of gens[j]."""
-    digits = []
-    for _ in range(count):
-        digits.append(enc % q)
-        enc //= q
-    return digits
-
-
 # -- support route ----------------------------------------------------------------
 
 
@@ -173,9 +163,7 @@ class _SupportSearch:
         field = c1.grid.field
         u2 = -1 if c2 is None else c2.d
         self.field = field
-        self.wrows = tuple(
-            row for exp, row in zip(c1.basis, c1.G) if sum(exp) > u2
-        )
+        self.wrows = tuple(row for exp, row in zip(c1.basis, c1.G) if sum(exp) > u2)
         self.g2rows = tuple(c2.G) if c2 is not None else ()
         ell = self.ell = len(self.wrows)
         packing = PackedVectors(field.p, field.e, c1.length)
@@ -213,7 +201,7 @@ class _SupportSearch:
         field = self.field
         vec = self.wrows[p]
         gens = self.wrows[p + 1 :] + self.g2rows
-        for c, g in zip(_coset_digits(field.q, enc, len(gens)), gens):
+        for c, g in zip(_int_to_poly(enc, field.q, len(gens)), gens):
             if c:
                 vec = field.add_rows(vec, g, c)
         return tuple(vec)
@@ -401,12 +389,15 @@ def oracle_rghw_window(
         return False
 
     meter.spend()  # the empty window, gap 0
-    for size in range(1, n + 1):
-        if walk(0, size):
-            return OracleResult(
-                value=size,
-                witnesses=tuple(i + 1 for i in window),
-                states_explored=meter.states,
-                method="window",
-            )
+    try:
+        for size in range(1, n + 1):
+            if walk(0, size):
+                return OracleResult(
+                    value=size,
+                    witnesses=tuple(i + 1 for i in window),
+                    states_explored=meter.states,
+                    method="window",
+                )
+    finally:  # walk calls itself through its cell: free that cycle now
+        walk = None
     raise AssertionError(f"no window with dimension gap {r}")  # unreachable for valid r

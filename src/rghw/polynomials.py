@@ -19,7 +19,7 @@ from __future__ import annotations
 from random import Random
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .boxcomb import BoxShape, DegreeBand, nth_band_element, shadow
+from .boxcomb import BoxShape, DegreeBand, nth_band_element
 from .errors import EmptyFamily, RankOutOfRange, ShapeMismatch
 from .gf import Field
 
@@ -119,33 +119,19 @@ def make_maximal_poly(grid: "CartesianGrid", b) -> MultiPoly:
     return MultiPoly(field, shape, terms)
 
 
-def evaluate_on_grid(f: MultiPoly, grid: "CartesianGrid") -> tuple:
-    """Values of f at every grid point, in grid point order."""
-    if f.shape != grid.shape or f.field != grid.field:
-        raise ShapeMismatch("polynomial and grid disagree on box shape or field")
-    return grid.evaluate(f.terms)
-
-
 def common_zero_count(fs: Sequence[MultiPoly], grid: "CartesianGrid") -> int:
     """Number of grid points where every polynomial of the family vanishes."""
     if not fs:
         raise EmptyFamily("common_zero_count needs at least one polynomial")
     alive = range(grid.shape.n)
     for f in fs:
-        values = evaluate_on_grid(f, grid)
+        if f.shape != grid.shape or f.field != grid.field:
+            raise ShapeMismatch("polynomial and grid disagree on box shape or field")
+        values = grid.evaluate(f.terms)
         alive = [i for i in alive if not values[i]]
         if not alive:
             break
     return len(alive)
-
-
-def footprint_count(shape: BoxShape, lts: Sequence) -> int:
-    """|box| - |shadow of the leading exponents|: the footprint bound on
-    the number of common zeros of any family with these leading terms."""
-    pts = [tuple(e) for e in lts]
-    if not pts:
-        return shape.n
-    return shape.n - len(shadow(shape, pts))
 
 
 def maximal_family(grid: "CartesianGrid", band: DegreeBand, r: int) -> list[MultiPoly]:

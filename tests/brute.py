@@ -10,7 +10,8 @@ the slice helpers, which the shadow-compression tests use, are built on
 the package's own `shadow`, `iter_band` and `nth_band_element`; and the
 families route at the end, the reference that checks the common-zeros
 statement directly, is built on the package's coset enumeration
-(`rghw.oracle._coset_masks`) and budget.
+(`rghw.oracle._coset_masks`), digit expansion (`rghw.gf._int_to_poly`)
+and budget.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from math import comb, prod
 
 from rghw.boxcomb import DegreeBand, iter_band, nth_band_element, shadow
 from rghw.errors import RankOutOfRange, ShapeMismatch
-from rghw.gf import PackedVectors
-from rghw.oracle import OracleBudget, OracleResult, _coset_digits, _coset_masks, _Meter
+from rghw.gf import PackedVectors, _int_to_poly
+from rghw.oracle import OracleBudget, OracleResult, _coset_masks, _Meter
 from rghw.polynomials import MultiPoly
 
 
@@ -341,7 +342,7 @@ def oracle_max_zeros_families(
     for idx, enc in best_pick:
         t = members[idx]
         lower = glex[: glex_rank[t]]
-        terms = {t: 1, **dict(zip(lower, _coset_digits(field.q, enc, len(lower))))}
+        terms = {t: 1, **dict(zip(lower, _int_to_poly(enc, field.q, len(lower))))}
         witnesses.append(MultiPoly(field, shape, terms))
     return OracleResult(
         value=best,

@@ -316,6 +316,11 @@ def test_invalid_inputs_exit_2(capsys):
          "--subsets", "2,3;0,1,3", "--policy", "first"),
         ("hierarchy", "--q", "4", "--sizes", "2,3", "--u1", "2", "--u2", "-1",
          "--subsets", "2,3;0,1,3", "--policy", "last", "--oracle"),
+        # an empty --subsets is given, not absent: checked alone and beside --policy
+        ("maximal", "--q", "4", "--sizes", "2,3", "--u1", "2", "--u2", "-1", "--r", "2",
+         "--subsets", ""),
+        ("maximal", "--q", "4", "--sizes", "2,3", "--u1", "2", "--u2", "-1", "--r", "2",
+         "--subsets", "", "--policy", "last"),
         # the subsets are checked without --oracle too
         ("hierarchy", "--q", "3", "--sizes", "2,2", "--u1", "1", "--u2", "-1",
          "--subsets", "0,0;0,1"),

@@ -17,6 +17,7 @@ from rghw.oracle import (
     OracleBudget,
     _coset_masks,
     _Meter,
+    _SupportSearch,
     oracle_rghw_support,
     oracle_rghw_window,
 )
@@ -515,3 +516,46 @@ def test_support_set_up_is_released():
         gc.enable()
     assert held > 2 * 2**20
     assert after < held // 20
+
+
+def test_window_call_leaves_no_cycle():
+    # walk calls itself through its closure cell; the call must break that
+    # cycle, so with the cyclic gc off nothing is left for it to collect
+    c1 = build_code(build_grid(F3, (2, 3)), 2)
+    gc.disable()
+    try:
+        gc.collect()
+        oracle_rghw_window(c1, None, 2)
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left == 0
+
+
+class CountingViews(dict):
+    """A view cache that counts how often it is emptied."""
+
+    clears = 0
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+def test_view_eviction_keeps_results():
+    # a search whose view cache holds almost nothing must empty it again and
+    # again, and still answer every rank as a search with the full cache does
+    clears = 0
+    for grid, u1, u2, ell in chain_pairs(F3, (2, 3)):
+        c1, c2 = fresh_pair(grid, u1, u2)
+        roomy_meter, tight_meter = _Meter(OracleBudget()), _Meter(OracleBudget())
+        roomy = _SupportSearch(c1, c2, roomy_meter)
+        tight = _SupportSearch(c1, c2, tight_meter)
+        tight._views = CountingViews()
+        tight._view_cap = tight._view_room = 1
+        for r in range(1, ell + 1):
+            want = roomy.rank(r, roomy_meter)
+            assert tight.rank(r, tight_meter) == want, (u1, u2, r)
+            assert tight_meter.states == roomy_meter.states, (u1, u2, r)
+        clears += tight._views.clears
+    assert clears > 0

@@ -15,8 +15,6 @@ from rghw.polynomials import (
     LeadingTerm,
     MultiPoly,
     common_zero_count,
-    evaluate_on_grid,
-    footprint_count,
     make_maximal_poly,
     maximal_family,
     random_poly,
@@ -86,7 +84,7 @@ def test_maximal_poly_leading_term_and_zero_set(q, sizes, policy):
         lt = f.leading_term()
         assert lt.exponent == b and lt.coefficient == 1
         assert max(map(sum, f.terms)) == sum(b)
-        values = evaluate_on_grid(f, grid)
+        values = grid.evaluate(f.terms)
         for pos, idx in enumerate(shape.points()):
             if brute.dominates(b, idx):
                 assert values[pos] != 0
@@ -131,7 +129,7 @@ def test_evaluation_matches_brute():
     rng = random.Random(7)
     for _ in range(25):
         f = random_poly(F4, grid.shape, rng)
-        values = evaluate_on_grid(f, grid)
+        values = grid.evaluate(f.terms)
         for pos, point in enumerate(itertools.product(*grid.subsets)):
             assert values[pos] == brute.brute_eval(F4, f.terms, point)
 
@@ -139,9 +137,9 @@ def test_evaluation_matches_brute():
 def test_evaluate_rejects_wrong_grid():
     f = MultiPoly(F3, BoxShape((2, 3)), {(1, 1): 1})
     with pytest.raises(ShapeMismatch):
-        evaluate_on_grid(f, build_grid(F3, (3, 3)))
+        common_zero_count([f], build_grid(F3, (3, 3)))
     with pytest.raises(ShapeMismatch):
-        evaluate_on_grid(f, build_grid(F4, (2, 3)))
+        common_zero_count([f], build_grid(F4, (2, 3)))
 
 
 def test_common_zero_count_example():
@@ -155,15 +153,14 @@ def test_common_zero_count_example():
         common_zero_count([], grid)
 
 
-def test_footprint_count_matches_brute():
+def test_footprint_matches_brute():
     shape = BoxShape((2, 3))
-    assert footprint_count(shape, []) == shape.n
-    assert footprint_count(shape, [(0, 0)]) == 0
+    assert footprint(shape, []) == set(shape.points())
+    assert footprint(shape, [(0, 0)]) == set()
     pts = list(shape.points())
     for mask in range(1 << len(pts)):
         subset = [pts[i] for i in range(len(pts)) if mask >> i & 1]
-        assert footprint_count(shape, subset) == len(brute.brute_footprint(shape.d, subset))
-        assert footprint_count(shape, subset) == len(footprint(shape, subset))
+        assert footprint(shape, subset) == brute.brute_footprint(shape.d, subset)
 
 
 def test_maximal_family_leading_exponents():
@@ -212,7 +209,7 @@ def test_grid_evaluation_matches_brute_on_dense_polynomials(q):
             box = brute.box_points(grid.shape.d)
             terms = {e: rng.randrange(1, q) for e in box if rng.random() < 0.6}
             for f in (MultiPoly(field, grid.shape, terms), MultiPoly(field, grid.shape, {})):
-                values = evaluate_on_grid(f, grid)
+                values = grid.evaluate(f.terms)
                 assert values == tuple(brute.brute_eval(field, f.terms, x) for x in points)
             for e in box:
                 assert grid.monomial_values(e) == tuple(brute.brute_eval(field, {e: 1}, x) for x in points)
@@ -255,7 +252,7 @@ def test_grid_evaluation_matches_brute_at_families_scale(q):
         band = DegreeBand(rng.randint(-1, 2), 6)
         polys = [random_poly(field, shape, rng) for _ in range(8)] + maximal_family(grid, band, 5)
         for f in polys:
-            values = evaluate_on_grid(f, grid)
+            values = grid.evaluate(f.terms)
             assert len(values) == shape.n
             for idx in samples:
                 point = tuple(sub[j] for sub, j in zip(grid.subsets, idx))
@@ -288,7 +285,7 @@ def test_family_evaluations_pinned():
     count = 0
     for q, sizes, subsets, band, r, grid in pinned_families():
         family = maximal_family(grid, band, r)
-        values = [evaluate_on_grid(f, grid) for f in family]
+        values = [grid.evaluate(f.terms) for f in family]
         zeros = common_zero_count(family, grid)
         digest.update(repr((q, sizes, subsets, band.u2, band.u1, r, values, zeros)).encode())
         count += 1
