@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from functools import lru_cache
+from math import prod
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -64,10 +65,7 @@ class BoxShape:
 
     @property
     def n(self) -> int:
-        out = 1
-        for s in self.d:
-            out *= s
-        return out
+        return prod(self.d)
 
     @property
     def k(self) -> int:

@@ -4,15 +4,16 @@ A CartesianGrid is a product A_1 x ... x A_m of distinct-element subsets
 of GF(q), with |A_i| = d_i ascending; its constructor (also named
 `build_grid`, as CartesianCode's is `build_code`) is the one check of
 sizes and explicit subsets.  Points are ordered mixed-radix (last
-coordinate fastest), which makes the position of a point equal to the
-mixed-radix encoding of its index tuple: the map from grid points to box
-points is position-preserving by construction.
+coordinate fastest), so a point's position is the mixed-radix encoding
+of its index tuple, as in the box.
 
 A grid evaluates a polynomial one coordinate at a time on whole rows:
 each stage is Kronecker products and sums of rows with the power columns
 [a^e for a in A_i], through the Field's row kernels (`Field.kron`,
-`Field.add_rows`).  A column is built when `evaluate` first reads it,
-and kept, so a grid costs no more to build than its subsets.
+`Field.add_rows`).  It can stop at a prefix of the points, whole values
+of x_1, which is all a common-zero count needs past its first member.
+A column is built when `evaluate` first reads it, and kept, so a grid
+costs no more to build than its subsets.
 
 A CartesianCode of degree bound u evaluates every monomial x^a with
 deg(a) <= u (exponents in the box) on the grid; rows of the generator
@@ -91,10 +92,9 @@ class CartesianGrid:
     without subsets, `policy` "first" takes the lowest d_i encodings of the
     field as A_i, and "last" the highest.
 
-    The grid is a product, so the values of sum_e c_e x^e at every point
-    are the Kronecker product of the per-coordinate Vandermonde maps
-    [a^e for a in A_i] applied to the coefficients; `evaluate` applies
-    those maps one coordinate at a time, on whole rows.
+    The values of sum_e c_e x^e at the points are the Kronecker product of
+    the per-coordinate Vandermonde maps [a^e for a in A_i] applied to the
+    coefficients; `evaluate` applies them one coordinate at a time.
     """
 
     __slots__ = ("field", "shape", "subsets", "_cols")
@@ -134,28 +134,33 @@ class CartesianGrid:
         self.shape.require_point(exp)
         return self.evaluate({exp: 1})
 
-    def evaluate(self, terms: dict) -> tuple:
-        """Values of sum c_e x^e over `terms` = {e: c} at every grid point,
-        in point order; exponents must lie in the box.
+    def evaluate(self, terms: dict, count=None) -> tuple:
+        """Values of sum c_e x^e over `terms` = {e: c} at the grid points
+        before `count` (all n without it), rounded up to whole values of the
+        first coordinate, in point order; exponents must lie in the box.
 
         Stage i turns a table {(e_i, ..., e_m): row over the points of the
         first i - 1 coordinates} into one keyed by (e_{i+1}, ..., e_m), each
         row the sum of the Kronecker products of its rows with their power
         columns [a^(e_i) for a in A_i].  A stage costs (distinct keys) *
-        (points of the first i coordinates) products and as many sums; after
-        stage m the one row left is the n values.
+        (points of the first i coordinates) products and as many sums.
+        Stage 1 reads the first ceil(count / (n / d_1)) entries of each
+        column, and later stages keep that prefix, since x_1 varies slowest.
         """
         kron, add_rows = self.field.kron, self.field.add_rows
+        n, d1 = self.shape.n, self.shape.d[0]
+        head = d1 if count is None else min(d1, -(-count * d1 // n))  # values of x_1 kept
+        cut = head < d1
         rows = {e: (c,) for e, c in terms.items()}
         for cols in self._cols:
             step: dict = {}
             for exp, row in rows.items():
                 rest = exp[1:]
-                part = kron(row, cols[exp[0]])
+                part = kron(row, cols[exp[0]][:head] if cut else cols[exp[0]])
                 have = step.get(rest)
                 step[rest] = part if have is None else add_rows(have, part)
-            rows = step
-        return tuple(rows.get((), [0] * self.shape.n))
+            rows, cut = step, False
+        return tuple(rows.get((), [0] * (head * (n // d1))))
 
     def __repr__(self) -> str:
         return f"CartesianGrid(GF({self.field.q}), {self.shape.d})"

@@ -33,8 +33,8 @@ on all coordinates at once.  In characteristic 2 a slot is one bit: the
 j-th digits of all coordinates form bit plane j, a sum is an XOR, and a
 support mask ORs the planes together.  For odd p a slot is wider and a
 sum is one int add with a carry correction.  `pack` reads a q-entry
-table of each encoding's digits spread into slots, which also gives
-`_powers` every encoding in packed form.
+table of each encoding's digits spread into slots, which for odd p also
+decodes the packed span that `_powers` builds.
 """
 
 from __future__ import annotations
@@ -184,8 +184,8 @@ def _powers(p: int, e: int, modulus: tuple[int, ...]) -> list[int]:
     multiplicative order q - 1 (g = 1 for GF(2)).
 
     Multiplication by g is GF(p)-linear, so the table of g*t over all t is
-    the span of the images g*x^j, summed as PackedVectors of length 1,
-    whose spread table is every encoding packed.
+    the span of the images g*x^j, summed as PackedVectors of length 1 and
+    decoded through their spread table, which for p = 2 is the identity.
     """
     n = p**e - 1
     cofactors = [n // f for f in range(2, n + 1) if n % f == 0 and _smallest_prime_factor(f) == f]
@@ -200,7 +200,6 @@ def _powers(p: int, e: int, modulus: tuple[int, ...]) -> list[int]:
 
     g = next((c for c in range(2, n + 1) if all(power(c, k) != 1 for k in cofactors)), 1)
     packing = PackedVectors(p, e, 1)
-    encoding = {s: t for t, s in enumerate(packing.spread)}
     span = [0]  # sum_j u_j * g*x^j for u = 0 .. p^e - 1, u_j the digits of u
     for j in range(e):
         image = packing.spread[_mul_digits(g, p**j, p, e, modulus)]
@@ -208,10 +207,12 @@ def _powers(p: int, e: int, modulus: tuple[int, ...]) -> list[int]:
         for _ in range(p - 1):
             multiples += packing.translates(multiples[-1:], image)
         span = [t for m in multiples for t in packing.translates(span, m)]
-    times_g = [encoding[s] for s in span]
+    if p > 2:
+        encoding = {s: t for t, s in enumerate(packing.spread)}
+        span = [encoding[s] for s in span]
     out = [1]
     for _ in range(n - 1):
-        out.append(times_g[out[-1]])
+        out.append(span[out[-1]])
     return out
 
 

@@ -16,10 +16,11 @@ attainment checks exercise.
 
 from __future__ import annotations
 
+from itertools import islice
 from random import Random
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .boxcomb import BoxShape, DegreeBand, nth_band_element
+from .boxcomb import BoxShape, DegreeBand, band_size, iter_band
 from .errors import EmptyFamily, RankOutOfRange, ShapeMismatch
 from .gf import Field
 
@@ -104,12 +105,8 @@ def make_maximal_poly(grid: "CartesianGrid", b) -> MultiPoly:
     terms = {(): 1}
     for bi, subset in zip(b, grid.subsets):
         factor = [1]
-        for gamma in subset[:bi]:  # factor *= (x - gamma)
-            neg_gamma = field.neg(gamma)
-            factor = [
-                field.add(shifted, field.mul(neg_gamma, kept))
-                for shifted, kept in zip([0] + factor, factor + [0])
-            ]
+        for gamma in subset[:bi]:  # factor *= (x - gamma): shifted up, plus -gamma times kept
+            factor = field.add_rows([0] + factor, factor + [0], field.neg(gamma))
         terms = {
             exp + (e,): field.mul(c, fc)
             for exp, c in terms.items()
@@ -120,14 +117,15 @@ def make_maximal_poly(grid: "CartesianGrid", b) -> MultiPoly:
 
 
 def common_zero_count(fs: Sequence[MultiPoly], grid: "CartesianGrid") -> int:
-    """Number of grid points where every polynomial of the family vanishes."""
+    """Number of grid points where every polynomial of the family vanishes;
+    each member is evaluated only up to the last common zero of those before it."""
     if not fs:
         raise EmptyFamily("common_zero_count needs at least one polynomial")
+    if any(f.shape != grid.shape or f.field != grid.field for f in fs):
+        raise ShapeMismatch("polynomial and grid disagree on box shape or field")
     alive = range(grid.shape.n)
     for f in fs:
-        if f.shape != grid.shape or f.field != grid.field:
-            raise ShapeMismatch("polynomial and grid disagree on box shape or field")
-        values = grid.evaluate(f.terms)
+        values = grid.evaluate(f.terms, alive[-1] + 1)
         alive = [i for i in alive if not values[i]]
         if not alive:
             break
@@ -135,13 +133,11 @@ def common_zero_count(fs: Sequence[MultiPoly], grid: "CartesianGrid") -> int:
 
 
 def maximal_family(grid: "CartesianGrid", band: DegreeBand, r: int) -> list[MultiPoly]:
-    """Canonical family for the first r band exponents, descending lex."""
-    if r < 1:
-        raise RankOutOfRange(f"r = {r} < 1")
-    return [
-        make_maximal_poly(grid, nth_band_element(grid.shape, band, i))
-        for i in range(1, r + 1)
-    ]
+    """Canonical family for the first r band exponents, from one descending-lex band walk."""
+    size = band_size(grid.shape, band)
+    if not 1 <= r <= size:
+        raise RankOutOfRange(f"r = {r} outside 1..{size} for band {band} in box {grid.shape.d}")
+    return [make_maximal_poly(grid, b) for b in islice(iter_band(grid.shape, band), r)]
 
 
 def random_poly(field: Field, shape: BoxShape, rng: Random) -> MultiPoly:

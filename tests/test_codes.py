@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 import tracemalloc
 
@@ -134,6 +135,29 @@ def test_monomial_values_examples():
     assert grid.monomial_values((0, 0)) == (1, 1, 1, 1)
     with pytest.raises(ShapeMismatch):
         grid.monomial_values((2, 0))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 101, 256])
+def test_evaluate_prefix_matches_full_evaluation(q):
+    # a count keeps the points before it, rounded up to whole values of the
+    # first coordinate: ceil(count / (n / d_1)) * (n / d_1) of them
+    field = Field(q)
+    rng = random.Random(q + 5)
+    for m in (1, 2, 3):
+        sizes = [rng.randint(1, min(q, 6)) for _ in range(m)]
+        grid = build_grid(field, sizes, subsets=[rng.sample(range(q), s) for s in sizes])
+        n, tail = grid.shape.n, grid.shape.n // grid.shape.d[0]
+        for _ in range(6):
+            terms = {
+                tuple(rng.randrange(s) for s in grid.shape.d): rng.randrange(q)
+                for _ in range(rng.randint(0, 5))
+            }
+            full = grid.evaluate(terms)
+            assert len(full) == n
+            for count in (1, tail, tail + 1, n):
+                values = grid.evaluate(terms, count)
+                assert len(values) == min(n, -(-count // tail) * tail), (sizes, count)
+                assert values == full[: len(values)], (sizes, terms, count)
 
 
 @pytest.mark.skipif(sys.implementation.name != "cpython", reason="counts CPython blocks")

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import random
 
 import pytest
@@ -247,3 +248,18 @@ def test_packed_vectors_match_field_arithmetic(q, n):
         assert all(m & ~packing.full == 0 for m in masks)
         read = [{i for i in range(n) if m >> i * w + w - 1 & 1} for m in masks]
         assert read == [{i for i, a in enumerate(v) if a} for v in sums]
+
+
+# sha256 over repr((q, _exp, _log, _zech)) of GF(2^e) for the exponents
+# below, recorded while `_powers` decoded its span through a q-entry dict
+# for p = 2 too
+GF2E_TABLES_DIGEST = "5526b948e8fbf7fa6a602ffeb7cdf0e5e357ab7a4cc7ebeef80c8746d6c06f2b"
+
+
+def test_gf2e_tables_pinned():
+    # for p = 2 the span of the images g*x^j is already the table of g*t
+    digest = hashlib.sha256()
+    for e in (1, 2, 3, 4, 5, 8, 10, 12, 16):
+        f = Field(2**e)
+        digest.update(repr((f.q, f._exp, f._log, f._zech)).encode())
+    assert digest.hexdigest() == GF2E_TABLES_DIGEST

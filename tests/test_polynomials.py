@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
-from rghw.boxcomb import BoxShape, DegreeBand, band_size, footprint, iter_band
+from rghw.boxcomb import BoxShape, DegreeBand, band_size, footprint, iter_band, nth_band_element
 from rghw.codes import build_grid
 from rghw.errors import EmptyFamily, RankOutOfRange, ShapeMismatch
 from rghw.gf import Field
@@ -153,6 +153,18 @@ def test_common_zero_count_example():
         common_zero_count([], grid)
 
 
+def test_common_zero_count_checks_every_member_before_evaluating():
+    # the constant 1 leaves no common zero, which must not hide a member
+    # that does not live on the grid, in either order
+    grid = build_grid(F3, (2, 3))
+    one = MultiPoly(F3, grid.shape, {(0, 0): 1})
+    bad = MultiPoly(F4, BoxShape((3, 3)), {(1, 1): 1})
+    assert common_zero_count([one], grid) == 0
+    for family in ([one, bad], [bad, one]):
+        with pytest.raises(ShapeMismatch):
+            common_zero_count(family, grid)
+
+
 def test_footprint_matches_brute():
     shape = BoxShape((2, 3))
     assert footprint(shape, []) == set(shape.points())
@@ -175,6 +187,23 @@ def test_maximal_family_leading_exponents():
         maximal_family(grid, band, 0)
     with pytest.raises(RankOutOfRange):
         maximal_family(grid, band, len(members) + 1)
+
+
+@pytest.mark.parametrize("sizes", [(2, 3), (3, 3, 3), (4, 5)])
+def test_maximal_family_equals_the_unranked_family(sizes):
+    # one band walk gives the same members as unranking each r separately
+    field = Field(5)
+    grid = build_grid(field, sizes)
+    k = grid.shape.k
+    for u1 in range(k + 1):
+        for u2 in range(-1, u1):
+            band = DegreeBand(u2, u1)
+            size = band_size(grid.shape, band)
+            for r in range(1, size + 1):
+                expected = [make_maximal_poly(grid, nth_band_element(grid.shape, band, i)) for i in range(1, r + 1)]
+                assert maximal_family(grid, band, r) == expected, (sizes, band, r)
+            with pytest.raises(RankOutOfRange):
+                maximal_family(grid, band, size + 1)
 
 
 def test_random_poly_seeded_and_valid():
@@ -300,6 +329,21 @@ def test_maximal_family_attains_weight_at_large_scale(q, sizes):
     for r in range(1, 6):
         zeros = common_zero_count(maximal_family(grid, band, r), grid)
         assert grid.shape.n - zeros == rghw(WeightQuery(grid.shape, band, r)).m_r
+
+
+@pytest.mark.parametrize("q,sizes", [(101, (20, 30)), (256, (7, 10, 15))])
+def test_common_zero_count_of_maximal_families_matches_brute_at_families_scale(q, sizes):
+    # every point evaluated by brute.brute_eval, on random subsets that
+    # contain 0, for bands as `rghw maximal` asks them and every rank up to 5
+    field = Field(q)
+    rng = random.Random(q)
+    grid = grid_with_zero(field, sizes, rng)
+    points = list(itertools.product(*grid.subsets))
+    for band in (DegreeBand(-1, 6), DegreeBand(2, 5), DegreeBand(4, 7), DegreeBand(6, 10)):
+        for r in range(1, 6):
+            family = maximal_family(grid, band, r)
+            zeros = sum(all(brute.brute_eval(field, f.terms, x) == 0 for f in family) for x in points)
+            assert common_zero_count(family, grid) == zeros, (band, r)
 
 
 @st.composite
