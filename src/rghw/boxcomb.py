@@ -160,6 +160,13 @@ def band_size(shape: BoxShape, band: DegreeBand) -> int:
     )
 
 
+def check_rank(shape: BoxShape, band: DegreeBand, r: int) -> None:
+    """Raises RankOutOfRange unless 1 <= r <= band_size(shape, band)."""
+    size = band_size(shape, band)
+    if not 1 <= r <= size:
+        raise RankOutOfRange(f"r = {r} outside 1..{size} for band {band} in box {shape.d}")
+
+
 def iter_band(shape: BoxShape, band: DegreeBand) -> Iterator[BoxPoint]:
     """Band members in descending lexicographic order, one at a time.
 
@@ -197,9 +204,7 @@ def nth_band_element(shape: BoxShape, band: DegreeBand, r: int) -> BoxPoint:
     F does not increase with v, so the digit, the largest v with
     F(v) - F(d_i) >= r, is a bisection.
     """
-    size = band_size(shape, band)
-    if not 1 <= r <= size:
-        raise RankOutOfRange(f"r = {r} outside 1..{size} for band {band} in box {shape.d}")
+    check_rank(shape, band, r)
     lo, hi = band.u2, band.u1
     out = []
     for tab, side in zip(_sum_tables(shape.d), shape.d):

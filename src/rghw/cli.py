@@ -38,7 +38,7 @@ FOOTPRINT_MAX_N = 12  # largest grid of the footprint sweep
 
 def parse_ints(text: str, what: str) -> list[int]:
     try:
-        return [int(piece) for piece in text.split(",") if piece != ""]
+        return [int(piece) for piece in text.split(",")] if text else []
     except ValueError:
         raise ValueError(f"cannot parse {what} from {text!r}") from None
 

@@ -23,8 +23,8 @@ with each other; `verify` runs both, and `hierarchy --oracle` the first:
   bound, so values and witnesses are those of a search with no bound.
   Callers that ask a pair's ranks in ascending order (verify, and
   hierarchy without --r) get the bound M_{r-1} + 1; a lone rank costs
-  no more than a search with no bound.  The states of a call are the set-up's (one per coset
-  translate) plus the rows rank r visited the first time it was asked.
+  no more than a search with no bound.  Every call searches; its states
+  are the set-up's (one per coset translate) plus the rows it visited.
 
 * oracle_rghw_window scans coordinate windows J by ascending size and
   returns the first with dim (C1)_J - dim (C2)_J = r, where (C)_J is the
@@ -152,14 +152,15 @@ class _SupportSearch:
     w_p + span(later non-pivot W rows, C2), and run() visits only those
     (one state each).
 
-    rank(r) holds each answered rank's (value, witness, run states) and
-    stops rank r at M_i + r - i, i < r the highest held rank (M_0 = 0),
-    a proven lower bound.  Every call is charged the set-up plus rank r's
-    own run states, a held rank what it cost when first asked.
+    solved maps each answered rank to its value, and rank(r) searches,
+    stopping at M_i + r - i, i < r the highest answered rank (M_0 = 0), a
+    proven lower bound.  c1 and c2 name the pair, so a later call on the
+    same objects finds the set-up again.
     """
 
     def __init__(self, c1: CartesianCode, c2: CartesianCode | None, meter: _Meter):
         start = meter.states
+        self.c1, self.c2 = c1, c2
         field = c1.grid.field
         u2 = -1 if c2 is None else c2.d
         self.field = field
@@ -180,7 +181,7 @@ class _SupportSearch:
             self.masks.append(masks)
             self.candidates.append(sorted(map(or_, pops, codes)))
         self.setup_states = meter.states - start
-        self.solved: dict = {}  # rank -> (value, [(pivot, encoding)], run states)
+        self.solved: dict = {}  # rank -> value
         self._views: dict = {}
         self._view_cap = self._view_room = sum(map(len, self.candidates))
 
@@ -207,18 +208,11 @@ class _SupportSearch:
         return tuple(vec)
 
     def rank(self, r: int, meter: _Meter):
-        """(M_r, witness rows).  Rank r stops at the bound its highest held
-        rank i < r gives, M_i + r - i (M_0 = 0), and is held, charged what
-        it cost then."""
-        if r in self.solved:
-            value, rows, states = self.solved[r]
-            meter.spend(states)
-        else:
-            below = max((j for j in self.solved if j < r), default=0)
-            floor = (self.solved[below][0] if below else 0) + r - below
-            start = meter.states
-            value, rows = self.run(r, meter, floor)
-            self.solved[r] = (value, rows, meter.states - start)
+        """(M_r, witness rows), searched with the bound M_i + r - i of the
+        highest answered rank i < r (M_0 = 0)."""
+        below = max((j for j in self.solved if j < r), default=0)
+        value, rows = self.run(r, meter, self.solved.get(below, 0) + r - below)
+        self.solved[r] = value
         return value, [self.row_vector(p, enc) for p, enc in rows]
 
     def run(self, r: int, meter: _Meter, floor: int):
@@ -281,8 +275,8 @@ class _SupportSearch:
         return best, best_rows
 
 
-# (C1, C2, set-up) of the latest support call, found again by identity;
-# the old set-up is released before a new one is built, so at most one is alive.
+# the set-up of the latest support call, found again by the identity of its
+# pair; the old one is released before a new one is built, so at most one is alive.
 # A caller that alternates pairs therefore rebuilds the set-up on every call;
 # no caller here does (verify and hierarchy each finish one pair first).
 _held = None
@@ -299,14 +293,12 @@ def oracle_rghw_support(
     global _held
     _check_pair(c1, c2, r)
     meter = _Meter(budget or OracleBudget())
-    if _held is not None and _held[0] is c1 and _held[1] is c2:
-        search = _held[2]
-        meter.spend(search.setup_states)
+    if _held is not None and _held.c1 is c1 and _held.c2 is c2:
+        meter.spend(_held.setup_states)
     else:
         _held = None
-        search = _SupportSearch(c1, c2, meter)
-        _held = (c1, c2, search)
-    value, rows = search.rank(r, meter)
+        _held = _SupportSearch(c1, c2, meter)
+    value, rows = _held.rank(r, meter)
     return OracleResult(
         value=value,
         witnesses=tuple(rows),

@@ -20,8 +20,8 @@ from itertools import islice
 from random import Random
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .boxcomb import BoxShape, DegreeBand, band_size, iter_band
-from .errors import EmptyFamily, RankOutOfRange, ShapeMismatch
+from .boxcomb import BoxShape, DegreeBand, check_rank, iter_band
+from .errors import EmptyFamily, ShapeMismatch
 from .gf import Field
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -134,9 +134,7 @@ def common_zero_count(fs: Sequence[MultiPoly], grid: "CartesianGrid") -> int:
 
 def maximal_family(grid: "CartesianGrid", band: DegreeBand, r: int) -> list[MultiPoly]:
     """Canonical family for the first r band exponents, from one descending-lex band walk."""
-    size = band_size(grid.shape, band)
-    if not 1 <= r <= size:
-        raise RankOutOfRange(f"r = {r} outside 1..{size} for band {band} in box {grid.shape.d}")
+    check_rank(grid.shape, band, r)
     return [make_maximal_poly(grid, b) for b in islice(iter_band(grid.shape, band), r)]
 
 

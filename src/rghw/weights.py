@@ -21,20 +21,17 @@ from .boxcomb import (
     BoxShape,
     DegreeBand,
     _rank_in_leq,
-    band_size,
+    check_rank,
     iter_band,
     nth_band_element,
 )
-from .errors import RankOutOfRange
 
 
 class WeightQuery(NamedTuple("WeightQuery", [("shape", BoxShape), ("band", DegreeBand), ("r", int)])):
     __slots__ = ()
 
     def __new__(cls, shape: BoxShape, band: DegreeBand, r: int):
-        size = band_size(shape, band)
-        if not 1 <= r <= size:
-            raise RankOutOfRange(f"r = {r} outside 1..{size} for band {band} in box {shape.d}")
+        check_rank(shape, band, r)
         return super().__new__(cls, shape, band, r)
 
 

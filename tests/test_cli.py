@@ -339,6 +339,12 @@ def test_invalid_inputs_exit_2(capsys):
          "--budget-states", "-5", "--budget-seconds", "-9"),
         ("hierarchy", "--q", "3", "--sizes", "2,2", "--u1", "1", "--u2", "-1",
          "--budget-seconds", "-1"),
+        # an empty piece of a list is malformed, not skipped
+        ("hierarchy", "--q", "3", "--sizes", "2,,3", "--u1", "1", "--u2", "-1"),
+        ("hierarchy", "--q", "3", "--sizes", "2,3,", "--u1", "1", "--u2", "-1"),
+        ("verify", "--q-list", "2,,3"),
+        ("maximal", "--q", "3", "--sizes", "2,3", "--u1", "1", "--u2", "-1", "--r", "1",
+         "--subsets", "0,1,;0,1,2"),
         ("verify", "--q-list", ""),
         ("verify", "--max-n", "-1"),
         ("verify", "--q-list", "2", "--shapes", "2", "--footprint", "-3"),

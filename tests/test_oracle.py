@@ -353,7 +353,8 @@ def test_results_are_deterministic():
     a = oracle_rghw_support(c1, None, 2)
     b = oracle_rghw_support(c1, None, 2)
     assert (a.value, a.witnesses) == (b.value, b.witnesses)
-    # the second call reuses the held set-up and rank and is still charged for them
+    # the second call reuses the held set-up, is charged for it, and searches
+    # rank 2 again under the same bound
     assert a.states_explored == b.states_explored
     # the set-up (116 states) plus the 80 echelon-valid rows visited
     assert a.states_explored == 196
@@ -458,7 +459,7 @@ def test_rank_counts_repeat_cold_warm_and_after_eviction(field, sizes):
 
 @pytest.mark.parametrize("field, sizes", [(F3, (2, 3)), (F4, (2, 2, 2))], ids=str)
 def test_rank_answers_do_not_depend_on_order(field, sizes):
-    # odd ranks first, then even ones: rank r is bounded through a held
+    # odd ranks first, then even ones: rank r is bounded through an answered
     # rank i < r - 1 as well as through r - 1; a cold rank has only r
     for grid, u1, u2, ell in chain_pairs(field, sizes):
         lone = [oracle_rghw_support(*fresh_pair(grid, u1, u2), r) for r in range(1, ell + 1)]
@@ -467,6 +468,19 @@ def test_rank_answers_do_not_depend_on_order(field, sizes):
             res = oracle_rghw_support(c1, c2, r)
             want = lone[r - 1]
             assert (res.value, res.witnesses) == (want.value, want.witnesses), (sizes, u1, u2, r)
+
+
+def test_reasked_rank_searches_again():
+    # a re-asked rank is searched, not replayed: after rank 1 is answered,
+    # rank 2 stops at M_1 + 1 = 3, which its cold search had to prove
+    c1 = build_code(build_grid(F3, (2, 3)), 2)
+    cold, one, again = (oracle_rghw_support(c1, None, r) for r in (2, 1, 2))
+    assert [(res.value, res.states_explored) for res in (cold, one, again)] == [
+        (3, 196),
+        (2, 121),
+        (3, 116),
+    ]
+    assert again.witnesses == cold.witnesses
 
 
 @pytest.mark.parametrize("field, sizes", [(F3, (2, 3)), (F4, (2, 2, 2))], ids=str)
