@@ -268,12 +268,13 @@ def run_footprint_sweep(q: int, count: int, seed: int):
 
 
 def cmd_verify(args) -> int:
-    qs = parse_ints(args.q_list, "q list")
-    shapes = [tuple(parse_ints(piece, "sizes")) for piece in args.shapes.split(";")]
-    for sizes in shapes:
-        BoxShape(sizes)  # validates positivity early
+    qs = list(dict.fromkeys(parse_ints(args.q_list, "q list")))  # each field once
+    boxes = (BoxShape(parse_ints(piece, "sizes")) for piece in args.shapes.split(";"))
+    shapes = list(dict.fromkeys(box.d for box in boxes))  # each box once, sides sorted
     if args.footprint < 0:
         raise ValueError(f"footprint family count {args.footprint} is negative")
+    if args.window_max_n < 0:  # 0 turns the window route off
+        raise ValueError(f"window size bound {args.window_max_n} is negative")
     rows, summary = run_verify_grid(
         qs, shapes, max_n=args.max_n, window_max_n=args.window_max_n, budget=_budget(args)
     )

@@ -150,7 +150,9 @@ class _SupportSearch:
     wrows[p+1+j] has a nonzero coefficient.  Under later pivots F the
     echelon-valid rows are those whose W mask misses F (key & F == 0),
     w_p + span(later non-pivot W rows, C2), and run() visits only those
-    (one state each).
+    (one state each).  A combination of pivots lists a depth's rows when
+    it first enters that depth, one list per pivot: never more keys than
+    candidates holds, and dropped when the combination ends.
 
     solved maps each answered rank to its value, and rank(r) searches,
     stopping at M_i + r - i, i < r the highest answered rank (M_0 = 0), a
@@ -182,21 +184,6 @@ class _SupportSearch:
             self.candidates.append(sorted(map(or_, pops, codes)))
         self.setup_states = meter.states - start
         self.solved: dict = {}  # rank -> value
-        self._views: dict = {}
-        self._view_cap = self._view_room = sum(map(len, self.candidates))
-
-    def view(self, p: int, later: int) -> list:
-        """Candidates at pivot p whose W mask misses `later`; the cache is
-        emptied when it would outgrow the candidate lists."""
-        hit = self._views.get((p, later)) if later else self.candidates[p]
-        if hit is None:
-            hit = list(filterfalse(later.__and__, self.candidates[p]))
-            if len(hit) > self._view_room:
-                self._views.clear()
-                self._view_room = self._view_cap
-            self._view_room -= len(hit)
-            self._views[p, later] = hit
-        return hit
 
     def row_vector(self, p: int, enc: int):
         field = self.field
@@ -237,15 +224,17 @@ class _SupportSearch:
         for pivots in combinations(range(ell), r):
             chosen: list = []
             pivot_mask = sum(1 << p for p in pivots)  # >> p + 1: later pivots of p
+            # each depth's rows, listed on first entry; the last pivot has no later one
+            views = [None] * (r - 1) + [self.candidates[pivots[-1]]]
 
             def descend(depth: int, union_mask: int) -> None:
                 nonlocal best, best_rows, limit
                 p = pivots[depth]
-                later = pivot_mask >> p + 1
-                if depth:
-                    rows = self.view(p, later)
-                else:  # passed once per combination: filtered lazily
-                    rows = filterfalse(later.__and__, self.candidates[p])
+                rows = views[depth]
+                if rows is None:
+                    rows = filterfalse((pivot_mask >> p + 1).__and__, self.candidates[p])
+                    if depth:  # depth 0 is entered once per combination: filtered lazily
+                        rows = views[depth] = list(rows)
                 i = -1
                 for i, key in enumerate(rows):
                     if key >> shift >= limit:

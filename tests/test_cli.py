@@ -259,6 +259,36 @@ def test_verify_json_schema(capsys):
     assert all(r["status"] == "OK" for r in obj["grid"])
 
 
+def test_verify_checks_each_field_and_box_once(capsys):
+    # a repeated field, or a box repeated with its sides in another order,
+    # is checked and counted once; so is the footprint sweep of the field
+    code, out, err = run_cli(capsys, "verify", "--q-list", "2,2", "--shapes", "2", "--max-n", "4")
+    assert code == 0
+    assert len(out.splitlines()) == 5
+    assert out.splitlines()[-1] == "summary: 4 OK, 0 MISMATCH, 0 SKIPPED"
+    code, out, err = run_cli(
+        capsys, "verify", "--q-list", "3", "--shapes", "2,3;3,2", "--format", "csv"
+    )
+    assert code == 0
+    rows = out.splitlines()
+    assert len(rows) > 1
+    assert len(set(rows)) == len(rows)
+    code, out, err = run_cli(
+        capsys, "verify", "--q-list", "2,2", "--shapes", "2", "--footprint", "5"
+    )
+    assert code == 0
+    assert out.count("footprint q=2 ") == 1
+
+
+def test_verify_window_bound_zero_turns_the_route_off(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--q-list", "2", "--shapes", "2", "--window-max-n", "0"
+    )
+    assert code == 0
+    rows = out.splitlines()[:-1]
+    assert rows and all(" window=None " in row for row in rows)
+
+
 def test_verify_corrupt_formula_fails(capsys, monkeypatch):
     def off_by_one(query):
         record = weights.rghw(query)
@@ -348,6 +378,7 @@ def test_invalid_inputs_exit_2(capsys):
         ("verify", "--q-list", ""),
         ("verify", "--max-n", "-1"),
         ("verify", "--q-list", "2", "--shapes", "2", "--footprint", "-3"),
+        ("verify", "--q-list", "2", "--shapes", "2", "--window-max-n", "-1"),
     ]
     for argv in bad_calls:
         code, out, err = run_cli(capsys, *argv)
