@@ -41,6 +41,7 @@ from .gf import Field
 from .oracle import (
     OracleBudget,
     OracleResult,
+    SupportOracle,
     oracle_rghw_support,
     oracle_rghw_window,
 )

@@ -2,8 +2,9 @@
 
 All results go to stdout, diagnostics to stderr.  Every number printed
 is an exact integer.  Exit codes: 0 success, 1 verification mismatch,
-2 invalid input, 3 budget exhausted while an oracle was requested,
-4 internal error (any other exception, reported on one line).
+2 invalid input, 3 budget exhausted while an oracle was requested (or a
+verify whose every tuple was SKIPPED), 4 internal error (any other
+exception, reported on one line).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .boxcomb import BoxShape, DegreeBand, band_size, check_band, footprint
 from .codes import CartesianCode, CartesianGrid
 from .errors import BudgetExceeded, RghwError
 from .gf import Field
-from .oracle import OracleBudget, oracle_rghw_support, oracle_rghw_window
+from .oracle import OracleBudget, SupportOracle, oracle_rghw_window
 from .polynomials import common_zero_count, maximal_family, random_poly
 from .weights import WeightQuery, iter_hierarchy, rghw
 
@@ -134,12 +135,9 @@ def cmd_hierarchy(args) -> int:
     else:
         records = iter_hierarchy(shape, band)
     if args.oracle:
-        c1 = CartesianCode(grid, band.u1)
         c2 = CartesianCode(grid, band.u2) if band.u2 >= 0 else None
-        records = [
-            rec._replace(oracle=oracle_rghw_support(c1, c2, rec.r, budget).value)
-            for rec in records
-        ]
+        support = SupportOracle(CartesianCode(grid, band.u1), c2)
+        records = [rec._replace(oracle=support.rank(rec.r, budget).value) for rec in records]
     _print_hierarchy(grid.field.q, shape, band, records, args.format, args.oracle)
     return 0
 
@@ -211,13 +209,14 @@ def run_verify_grid(
                     band = DegreeBand(u2, u1)
                     c1 = codes[u1]
                     c2 = codes[u2] if u2 >= 0 else None
+                    oracle = SupportOracle(c1, c2)  # frees the last band's set-up
                     ell = band_size(shape, band)
                     for r in range(1, ell + 1):
                         formula = rghw(WeightQuery(shape, band, r)).m_r
                         support = window = None
                         skipped = False
                         try:
-                            support = oracle_rghw_support(c1, c2, r, budget).value
+                            support = oracle.rank(r, budget).value
                         except BudgetExceeded:
                             skipped = True
                         if shape.n <= window_max_n:
@@ -306,7 +305,12 @@ def cmd_verify(args) -> int:
             f"summary: {summary['ok']} OK, {summary['mismatch']} MISMATCH, "
             f"{summary['skipped']} SKIPPED"
         )
-    return 1 if summary["mismatch"] else 0
+    if summary["mismatch"]:
+        return 1
+    if summary["skipped"] and not summary["ok"]:
+        print(f"error: no tuple OK: {summary['skipped']} SKIPPED", file=sys.stderr)
+        return 3
+    return 0
 
 
 # -- parser -------------------------------------------------------------------------

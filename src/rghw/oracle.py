@@ -3,28 +3,27 @@
 Two routes, deliberately not sharing logic with the closed formula or
 with each other; `verify` runs both, and `hierarchy --oracle` the first:
 
-* oracle_rghw_support enumerates r-dimensional subspaces D of C1 with
-  D intersecting C2 trivially, as graphs over the monomial complement W
-  (C1 = C2 (+) W): reduced-echelon representatives of r-dim subspaces of
-  W paired with arbitrary linear maps into C2, which covers every valid
-  D exactly once.  It minimizes |supp(D)| = |union of generator
-  supports| with branch-and-bound on the running support union, over
-  echelon-valid rows only.  Candidate rows are built as packed-int
-  cosets (gf.PackedVectors), so a translate is one XOR in characteristic
-  2 and, for odd p, one int add with a carry correction, and its
-  support mask is read off the nonzero slots; a pivot's candidates are
-  one sorted list of int keys, with no tuple per row.  Relative weights
-  strictly increase, M_{i} + r - i <= M_r for i < r (Luo, Mitrpant, Vinck, Chen,
-  "Some new characters on the wire-tap channel of type II", IEEE Trans.
-  Inf. Theory 51, 2005; M_0 = 0), so rank r stops at the first subspace
-  reaching that bound for the highest rank i < r already answered on
-  the pair's set-up, and i = 0 when there is none.  A full search keeps
-  the first subspace of its optimum, and that optimum is at least the
-  bound, so values and witnesses are those of a search with no bound.
-  Callers that ask a pair's ranks in ascending order (verify, and
-  hierarchy without --r) get the bound M_{r-1} + 1; a lone rank costs
-  no more than a search with no bound.  Every call searches; its states
-  are the set-up's (one per coset translate) plus the rows it visited.
+* SupportOracle(c1, c2).rank(r) enumerates r-dimensional subspaces D of
+  C1 with D intersecting C2 trivially, as graphs over the monomial
+  complement W (C1 = C2 (+) W): reduced-echelon representatives of r-dim
+  subspaces of W paired with arbitrary linear maps into C2, which covers
+  every valid D exactly once.  It minimizes |supp(D)| = |union of
+  generator supports| with branch-and-bound on the running support
+  union, over echelon-valid rows only.  Candidate rows are built as
+  packed-int cosets (gf.PackedVectors), so a translate is one XOR in
+  characteristic 2 and, for odd p, one int add with a carry correction,
+  and its support mask is read off the nonzero slots.  Relative weights
+  strictly increase, M_i + r - i <= M_r for i < r (Luo, Mitrpant, Vinck,
+  Chen, "Some new characters on the wire-tap channel of type II", IEEE
+  Trans. Inf. Theory 51, 2005; M_0 = 0), so rank r stops at the first
+  subspace reaching that bound for the highest rank i < r the object has
+  answered, and i = 0 when there is none.  A full search keeps the first
+  subspace of its optimum, and that optimum is at least the bound, so
+  values and witnesses are those of a search with no bound.  The caller
+  holds the object, and with it the set-up, while it asks ranks of the
+  pair; verify holds one per band and asks its ranks in ascending order,
+  so rank r gets the bound M_{r-1} + 1.  oracle_rghw_support(c1, c2, r,
+  budget) holds the latest pair's object for callers that pass codes.
 
 * oracle_rghw_window scans coordinate windows J by ascending size and
   returns the first with dim (C1)_J - dim (C2)_J = r, where (C)_J is the
@@ -136,71 +135,79 @@ def _coset_masks(field, packing: PackedVectors, base, gens, meter: _Meter) -> li
 # -- support route ----------------------------------------------------------------
 
 
-class _SupportSearch:
-    """Per (C1, C2) precomputation for the graph enumeration, and the
-    relative weights it has found so far.
+class SupportOracle:
+    """Relative weights of one pair C2 < C1 (C2 = None: the zero code) by
+    the graph enumeration; the caller holds it for as long as it asks ranks
+    of the pair, and dropping it frees the set-up.
 
-    wrows are the generator rows of C1 whose exponents have degree above
-    u2 (the complement W, in descending-lex exponent order).  For each
-    pivot p, masks[p] holds the support masks of w_p + span(wrows[p+1:],
-    C2) by encoding, and candidates[p] one sorted int per codeword,
-    support size << shift | encoding << ell | W mask; shift clears the
-    first (largest) coset's encoding << ell | W mask, so the order is
-    that of (support size, encoding).  W mask bit j is set when
-    wrows[p+1+j] has a nonzero coefficient.  Under later pivots F the
-    echelon-valid rows are those whose W mask misses F (key & F == 0),
-    w_p + span(later non-pivot W rows, C2), and run() visits only those
-    (one state each).  A combination of pivots lists a depth's rows when
-    it first enters that depth, one list per pivot: never more keys than
-    candidates holds, and dropped when the combination ends.
-
-    solved maps each answered rank to its value, and rank(r) searches,
-    stopping at M_i + r - i, i < r the highest answered rank (M_0 = 0), a
-    proven lower bound.  c1 and c2 name the pair, so a later call on the
-    same objects finds the set-up again.
+    The first `rank` call builds the set-up.  wrows are the generator rows
+    of C1 whose exponents have degree above u2 (the complement W, in
+    descending-lex exponent order).  For each pivot p, masks[p] holds the
+    support masks of w_p + span(wrows[p+1:], C2) by encoding, and
+    candidates[p] one sorted int per codeword, support size << shift |
+    encoding << ell | W mask; shift clears the first (largest) coset's
+    encoding << ell | W mask, so the order is that of (support size,
+    encoding).  W mask bit j is set when wrows[p+1+j] has a nonzero
+    coefficient.  Under later pivots F the echelon-valid rows are those
+    whose W mask misses F (key & F == 0), w_p + span(later non-pivot W
+    rows, C2), and run() visits only those (one state each).  A
+    combination of pivots lists a depth's rows when it first enters that
+    depth, one list per pivot: never more keys than candidates holds, and
+    dropped when the combination ends.  solved maps each answered rank to
+    its value, which bounds the ranks above it from below (see `rank`).
     """
 
-    def __init__(self, c1: CartesianCode, c2: CartesianCode | None, meter: _Meter):
-        start = meter.states
+    masks = None  # set, with the rest of the set-up, by the first rank call
+
+    def __init__(self, c1: CartesianCode, c2: CartesianCode | None):
         self.c1, self.c2 = c1, c2
-        field = c1.grid.field
-        u2 = -1 if c2 is None else c2.d
-        self.field = field
-        self.wrows = tuple(row for exp, row in zip(c1.basis, c1.G) if sum(exp) > u2)
-        self.g2rows = tuple(c2.G) if c2 is not None else ()
-        ell = self.ell = len(self.wrows)
-        packing = PackedVectors(field.p, field.e, c1.length)
-        self.shift = ((field.q ** (ell - 1 + len(self.g2rows)) - 1) << ell).bit_length()
-        self.masks, self.candidates = [], []
-        for p in range(ell):
-            gens = list(self.wrows[p + 1 :]) + list(self.g2rows)
-            masks = _coset_masks(field, packing, self.wrows[p], gens, meter)
-            wmasks = [0]  # W mask of each W-digit encoding
-            for j in range(ell - p - 1):
-                wmasks += [m | 1 << j for m in wmasks] * (field.q - 1)
-            codes = map(or_, map(lshift, range(len(masks)), repeat(ell)), cycle(wmasks))
-            pops = map(lshift, map(int.bit_count, masks), repeat(self.shift))
-            self.masks.append(masks)
-            self.candidates.append(sorted(map(or_, pops, codes)))
-        self.setup_states = meter.states - start
         self.solved: dict = {}  # rank -> value
 
+    def rank(self, r: int, budget: OracleBudget | None = None) -> OracleResult:
+        """Exact min |supp(D)| over r-dim subspaces D of C1 with trivial
+        intersection with C2, searched with the bound M_i + r - i of the
+        highest answered rank i < r (M_0 = 0).  Its states are the set-up's
+        (one per coset translate, charged again on every call) plus the
+        rows it visited."""
+        c1, c2 = self.c1, self.c2
+        _check_pair(c1, c2, r)
+        meter = _Meter(budget or OracleBudget())
+        if self.masks is not None:
+            meter.spend(self.setup_states)
+        else:  # built into locals, so that a refused set-up leaves nothing held
+            field = c1.grid.field
+            u2 = -1 if c2 is None else c2.d
+            wrows = tuple(row for exp, row in zip(c1.basis, c1.G) if sum(exp) > u2)
+            g2rows = tuple(c2.G) if c2 is not None else ()
+            ell = len(wrows)
+            packing = PackedVectors(field.p, field.e, c1.length)
+            shift = ((field.q ** (ell - 1 + len(g2rows)) - 1) << ell).bit_length()
+            masks, candidates = [], []
+            for p in range(ell):
+                coset = _coset_masks(field, packing, wrows[p], wrows[p + 1 :] + g2rows, meter)
+                wmasks = [0]  # W mask of each W-digit encoding
+                for j in range(ell - p - 1):
+                    wmasks += [m | 1 << j for m in wmasks] * (field.q - 1)
+                codes = map(or_, map(lshift, range(len(coset)), repeat(ell)), cycle(wmasks))
+                pops = map(lshift, map(int.bit_count, coset), repeat(shift))
+                masks.append(coset)
+                candidates.append(sorted(map(or_, pops, codes)))
+            self.wrows, self.g2rows, self.ell, self.shift = wrows, g2rows, ell, shift
+            self.masks, self.candidates, self.setup_states = masks, candidates, meter.states
+        below = max((j for j in self.solved if j < r), default=0)
+        value, rows = self.run(r, meter, self.solved.get(below, 0) + r - below)
+        self.solved[r] = value
+        witnesses = tuple(self.row_vector(p, enc) for p, enc in rows)
+        return OracleResult(value, witnesses, states_explored=meter.states, method="support")
+
     def row_vector(self, p: int, enc: int):
-        field = self.field
+        field = self.c1.grid.field
         vec = self.wrows[p]
         gens = self.wrows[p + 1 :] + self.g2rows
         for c, g in zip(_int_to_poly(enc, field.q, len(gens)), gens):
             if c:
                 vec = field.add_rows(vec, g, c)
         return tuple(vec)
-
-    def rank(self, r: int, meter: _Meter):
-        """(M_r, witness rows), searched with the bound M_i + r - i of the
-        highest answered rank i < r (M_0 = 0)."""
-        below = max((j for j in self.solved if j < r), default=0)
-        value, rows = self.run(r, meter, self.solved.get(below, 0) + r - below)
-        self.solved[r] = value
-        return value, [self.row_vector(p, enc) for p, enc in rows]
 
     def run(self, r: int, meter: _Meter, floor: int):
         """Best (support size, [(pivot, encoding)]) of rank r, stopping at
@@ -264,36 +271,22 @@ class _SupportSearch:
         return best, best_rows
 
 
-# the set-up of the latest support call, found again by the identity of its
-# pair; the old one is released before a new one is built, so at most one is alive.
-# A caller that alternates pairs therefore rebuilds the set-up on every call;
-# no caller here does (verify and hierarchy each finish one pair first).
+# the object of the latest pair asked through oracle_rghw_support, found again
+# by the identity of its codes; replacing it frees the old set-up at once
 _held = None
 
 
 def oracle_rghw_support(
-    c1: CartesianCode,
-    c2: CartesianCode | None,
-    r: int,
-    budget: OracleBudget | None = None,
+    c1: CartesianCode, c2: CartesianCode | None, r: int, budget: OracleBudget | None
 ) -> OracleResult:
-    """Exact min |supp(D)| over r-dim subspaces D of C1 with trivial
-    intersection with C2 (C2 = None means the zero code)."""
+    """`SupportOracle(c1, c2).rank(r, budget)` for callers that pass codes;
+    calls on one pair in a row share an object, which a valid call on
+    another pair replaces (so alternating pairs rebuilds every set-up)."""
     global _held
     _check_pair(c1, c2, r)
-    meter = _Meter(budget or OracleBudget())
-    if _held is not None and _held.c1 is c1 and _held.c2 is c2:
-        meter.spend(_held.setup_states)
-    else:
-        _held = None
-        _held = _SupportSearch(c1, c2, meter)
-    value, rows = _held.rank(r, meter)
-    return OracleResult(
-        value=value,
-        witnesses=tuple(rows),
-        states_explored=meter.states,
-        method="support",
-    )
+    if _held is None or _held.c1 is not c1 or _held.c2 is not c2:
+        _held = SupportOracle(c1, c2)
+    return _held.rank(r, budget)
 
 
 # -- window route -----------------------------------------------------------------

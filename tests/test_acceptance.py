@@ -6,6 +6,8 @@ formula-vs-oracle sweep is computed once per session and shared.
 """
 
 import itertools
+import math
+import random
 import time
 
 import pytest
@@ -32,6 +34,7 @@ SWEEP_SECONDS_CAP = 600
 COMPRESSION_SECONDS_CAP = 300
 WINDOW_SECONDS_CAP = 120
 WEI_SECONDS_CAP = 60
+M1_SECONDS_CAP = 60
 FOOTPRINT_SEED = 20260816
 
 # window-oracle grids beyond the sweep: (q, sizes, bands or None for all)
@@ -51,6 +54,11 @@ WEI_BOXES = [
     ((2,) * 12, None),
     ((100, 100), (0, 1, 50, 99, 100, 150, 197)),
 ]
+
+# M_1 boxes beyond the random ones: n = 1.00001e9, m = 40 (n = 2^40) and k = 2997
+M1_BOXES = [(31623, 31623), (2,) * 40, (1000, 1000, 1000)]
+M1_RANDOM_BOXES = 100
+M1_SEED = 20261020
 
 # attainment spot checks on grids beyond the oracle range, up to n = 10^4
 ATTAINMENT_SPOTS = [
@@ -277,7 +285,7 @@ def test_criterion_7_grid_choice_invariance(report):
             c1 = build_code(grid, band.u1)
             c2 = build_code(grid, band.u2) if band.u2 >= 0 else None
             values[policy] = [
-                oracle_rghw_support(c1, c2, r).value
+                oracle_rghw_support(c1, c2, r, None).value
                 for r in range(1, band_size(shape, band) + 1)
             ]
         formula = [rec.m_r for rec in hierarchy(shape, band).records]
@@ -348,4 +356,64 @@ def test_criterion_10_wei_duality_partitions_the_positions(report):
     report(
         f"[acceptance] criterion 10 Wei duality partitions {{1..n}}: PASS "
         f"({pairs} (box, u) pairs on {len(WEI_BOXES)} boxes up to n = 10000, {elapsed:.1f}s)"
+    )
+
+
+def min_distance(sides, u):
+    """d(C(u)) of the affine Cartesian code on a box, for 0 <= u <= k, from
+    the sides alone (López, Rentería-Márquez, Villarreal, "Affine Cartesian
+    codes", Des. Codes Cryptogr. 71, 2014): with d_1 <= ... <= d_m and
+    u = (d_1 - 1) + ... + (d_s - 1) + l, 1 <= l <= d_{s+1} - 1, it is
+    (d_{s+1} - l) d_{s+2} ... d_m, and n for u = 0, which is l = 0 here."""
+    d = sorted(sides)
+    for s, side in enumerate(d):
+        if u < side:
+            return (side - u) * math.prod(d[s + 1 :])
+        u -= side - 1
+    raise ValueError("u above the top degree")
+
+
+def m1_bands(sides, rng):
+    """(u2, u1) of criterion 11.  Every band when k <= 40.  Past that,
+    u2 = -1, 0, u1 // 2 and u1 - 1 for each u1: every u1 up to k = 3000,
+    and beyond it the degrees next to each turnover of s, 0, k and 500 at
+    random."""
+    d = sorted(sides)
+    k = sum(d) - len(d)
+    if k <= 3000:
+        degrees = range(k + 1)
+    else:
+        degrees, base = {0, k}, 0
+        for side in d:
+            degrees |= {base + j for j in (-1, 0, 1, 2) if 0 <= base + j <= k}
+            base += side - 1
+        degrees = sorted(degrees | {rng.randint(0, k) for _ in range(500)})
+    for u1 in degrees:
+        lows = range(-1, u1) if k <= 40 else {-1, 0, u1 // 2, u1 - 1} - {u1}
+        for u2 in sorted(lows):
+            yield u2, u1
+
+
+def test_criterion_11_first_relative_weight_is_the_minimum_distance(report):
+    # A minimum-weight word of C(u1) is a product of linear factors of
+    # degree u1 > u2, so it lies outside C(u2): M_1(C(u1), C(u2)) = d(C(u1))
+    # on every band.  d comes from the sides alone, with no boxcomb call.
+    started = time.monotonic()
+    rng = random.Random(M1_SEED)
+    boxes = [
+        tuple(rng.randint(1, 40) for _ in range(rng.randint(1, 6)))
+        for _ in range(M1_RANDOM_BOXES)
+    ] + M1_BOXES
+    checks = 0
+    for sides in boxes:
+        shape = BoxShape(sides)
+        for u2, u1 in m1_bands(sides, rng):
+            m_1 = rghw(WeightQuery(shape, DegreeBand(u2, u1), 1)).m_r
+            assert m_1 == min_distance(sides, u1), (sides, u2, u1)
+            checks += 1
+    elapsed = time.monotonic() - started
+    assert elapsed < M1_SECONDS_CAP
+    report(
+        f"[acceptance] criterion 11 M_1 == d(C(u1)): PASS "
+        f"({checks} bands on {len(boxes)} boxes up to n = 2^40 and m = 40, {elapsed:.1f}s)"
     )

@@ -311,6 +311,20 @@ def test_verify_budget_skips_but_passes(capsys):
     assert "SKIPPED" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_that_confirms_nothing_exits_3(capsys, fmt):
+    # a state budget of 1 refuses every oracle call: no row is OK, so the
+    # run must not report success, while stdout still lists every row
+    argv = ("verify", "--q-list", "2,3", "--shapes", "2;3;2,2", "--budget-states", "1")
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 3
+    assert err == "error: no tuple OK: 46 SKIPPED\n"
+    if fmt == "json":
+        assert json.loads(out)["summary"] == {"ok": 0, "mismatch": 0, "skipped": 46}
+    else:
+        assert out.splitlines()[-1] == "summary: 0 OK, 0 MISMATCH, 46 SKIPPED"
+
+
 def test_hierarchy_oracle_budget_exhausted_exit_3(capsys):
     code, out, err = run_cli(
         capsys,

@@ -15,6 +15,7 @@ from rghw.errors import BudgetExceeded, InvalidNesting, RankOutOfRange
 from rghw.gf import Field, PackedVectors
 from rghw.oracle import (
     OracleBudget,
+    SupportOracle,
     _coset_masks,
     _Meter,
     oracle_rghw_support,
@@ -75,7 +76,7 @@ def check_families_witness(result, grid, band, r):
 
 def test_support_frozen_example():
     grid = build_grid(F2, (2, 2))
-    result = oracle_rghw_support(build_code(grid, 2), build_code(grid, 1), 1)
+    result = oracle_rghw_support(build_code(grid, 2), build_code(grid, 1), 1, None)
     assert result.value == 1
     assert result.witnesses == ((0, 0, 0, 1),)
     assert result.method == "support"
@@ -100,7 +101,7 @@ def test_oracles_agree_with_formula_small():
                 c2 = build_code(grid, u2) if u2 >= 0 else None
                 for r in range(1, band_size(shape, band) + 1):
                     expected = rghw(WeightQuery(shape, band, r)).m_r
-                    sup = oracle_rghw_support(c1, c2, r)
+                    sup = oracle_rghw_support(c1, c2, r, None)
                     win = oracle_rghw_window(c1, c2, r)
                     fam = oracle_max_zeros_families(grid, band, r)
                     assert sup.value == expected
@@ -125,13 +126,13 @@ def test_support_matches_subspace_enumeration():
         c1 = build_code(grid, u1)
         for r in rs:
             expected = brute.brute_min_support_subspaces(c1.G, F2, r)
-            assert oracle_rghw_support(c1, None, r).value == expected
+            assert oracle_rghw_support(c1, None, r, None).value == expected
     grid3 = build_grid(F3, (2, 3))
     c1 = build_code(grid3, 2)
     c2 = build_code(grid3, 0)
     for r in (1, 2):
         expected = brute.brute_min_support_subspaces(c1.G, F3, r, forbidden_rows=c2.G)
-        assert oracle_rghw_support(c1, c2, r).value == expected
+        assert oracle_rghw_support(c1, c2, r, None).value == expected
     # lone ranks on fresh pairs, with their witnesses
     for field, sizes, band, r in SMALL_BAND_CASES:
         grid = build_grid(field, sizes)
@@ -139,7 +140,7 @@ def test_support_matches_subspace_enumeration():
         c2 = build_code(grid, band.u2) if band.u2 >= 0 else None
         forbidden = c2.G if c2 is not None else ()
         expected = brute.brute_min_support_subspaces(c1.G, field, r, forbidden_rows=forbidden)
-        result = oracle_rghw_support(c1, c2, r)
+        result = oracle_rghw_support(c1, c2, r, None)
         assert result.value == expected
         check_support_witness(result, c1, c2, r)
 
@@ -185,7 +186,7 @@ def test_support_witnesses_pinned():
     digest = hashlib.sha256()
     calls = 0
     for key, c1, c2, r in default_grid_calls(6):
-        res = oracle_rghw_support(c1, c2, r)
+        res = oracle_rghw_support(c1, c2, r, None)
         digest.update(repr(key + (res.value, res.witnesses)).encode())
         calls += 1
     assert calls == 138
@@ -196,7 +197,7 @@ def test_support_witnesses_pinned_to_nine_points():
     digest = hashlib.sha256()
     calls = 0
     for key, c1, c2, r in default_grid_calls(9):
-        res = oracle_rghw_support(c1, c2, r)
+        res = oracle_rghw_support(c1, c2, r, None)
         digest.update(repr(key + (res.value, res.witnesses)).encode())
         calls += 1
     assert calls == 408
@@ -207,7 +208,7 @@ def test_support_states_pinned():
     digest = hashlib.sha256()
     calls = 0
     for key, c1, c2, r in default_grid_calls(8):
-        res = oracle_rghw_support(c1, c2, r)
+        res = oracle_rghw_support(c1, c2, r, None)
         digest.update(repr(key + (res.value, res.witnesses, res.states_explored)).encode())
         calls += 1
     assert calls == 270
@@ -323,13 +324,13 @@ def test_invalid_nesting():
     first = build_grid(F4, (2, 3))
     last = build_grid(F4, (2, 3), policy="last")
     with pytest.raises(InvalidNesting):
-        oracle_rghw_support(build_code(first, 2), build_code(last, 1), 1)
+        oracle_rghw_support(build_code(first, 2), build_code(last, 1), 1, None)
     with pytest.raises(InvalidNesting):
-        oracle_rghw_support(build_code(first, 1), build_code(first, 2), 1)
+        oracle_rghw_support(build_code(first, 1), build_code(first, 2), 1, None)
     with pytest.raises(InvalidNesting):
         oracle_rghw_window(build_code(first, 1), build_code(first, 1), 1)
     same = build_grid(F4, (2, 3))
-    assert oracle_rghw_support(build_code(first, 1), build_code(same, 0), 1).value >= 1
+    assert oracle_rghw_support(build_code(first, 1), build_code(same, 0), 1, None).value >= 1
 
 
 def test_rank_bounds():
@@ -339,7 +340,7 @@ def test_rank_bounds():
     ell = c1.dim - c2.dim
     for bad in (0, ell + 1):
         with pytest.raises(RankOutOfRange):
-            oracle_rghw_support(c1, c2, bad)
+            oracle_rghw_support(c1, c2, bad, None)
         with pytest.raises(RankOutOfRange):
             oracle_rghw_window(c1, c2, bad)
     with pytest.raises(RankOutOfRange):
@@ -349,8 +350,8 @@ def test_rank_bounds():
 def test_results_are_deterministic():
     grid = build_grid(F3, (2, 3))
     c1 = build_code(grid, 2)
-    a = oracle_rghw_support(c1, None, 2)
-    b = oracle_rghw_support(c1, None, 2)
+    a = oracle_rghw_support(c1, None, 2, None)
+    b = oracle_rghw_support(c1, None, 2, None)
     assert (a.value, a.witnesses) == (b.value, b.witnesses)
     # the second call reuses the held set-up, is charged for it, and searches
     # rank 2 again under the same bound
@@ -367,12 +368,24 @@ def test_results_are_deterministic():
 def test_lower_rank_bounds_the_next_frozen():
     c1 = build_code(build_grid(F3, (2, 3)), 2)
     # the set-up (116 states) plus the 5 rows rank 1 visits to reach M_1 = 2
-    assert oracle_rghw_support(c1, None, 1).states_explored == 121
+    assert oracle_rghw_support(c1, None, 1, None).states_explored == 121
     # rank 2 after rank 1 stops at once: its warm start has M_1 + 1 = 3 points
-    chained = oracle_rghw_support(c1, None, 2)
+    chained = oracle_rghw_support(c1, None, 2, None)
     assert (chained.value, chained.states_explored) == (3, 116)
     # alone, rank 2 has only the bound 2 and visits 80 rows
-    assert oracle_rghw_support(build_code(c1.grid, 2), None, 2).states_explored == 196
+    assert oracle_rghw_support(build_code(c1.grid, 2), None, 2, None).states_explored == 196
+
+def test_invalid_call_keeps_the_held_pair():
+    # the wrapper checks a call before it replaces its held object, so a
+    # refused call on another pair leaves the held pair's answers in place
+    c1 = build_code(build_grid(F3, (2, 3)), 2)
+    other = build_code(build_grid(F2, (2,)), 1)
+    oracle_rghw_support(c1, None, 1, None)
+    with pytest.raises(RankOutOfRange):
+        oracle_rghw_support(other, None, 5, None)
+    # rank 2 is still bounded by M_1 + 1 = 3: 116 states, not a cold 196
+    assert oracle_rghw_support(c1, None, 2, None).states_explored == 116
+
 
 def packed_support(packing, mask, n):
     """Coordinates whose bit is set in a PackedVectors support mask."""
@@ -428,7 +441,7 @@ def ascending(c1, c2, r, budget=None):
     """Rank r of a pair asked, under `budget`, after its ranks 1..r-1 were
     answered, as verify asks it."""
     for lower in range(1, r):
-        oracle_rghw_support(c1, c2, lower)
+        oracle_rghw_support(c1, c2, lower, None)
     return oracle_rghw_support(c1, c2, r, budget)
 
 
@@ -441,14 +454,14 @@ def test_rank_counts_repeat_cold_warm_and_after_eviction(field, sizes):
     for grid, u1, u2, ell in chain_pairs(field, sizes):
         for r in range(1, ell + 1):
             c1, c2 = fresh_pair(grid, u1, u2)
-            lone = oracle_rghw_support(c1, c2, r)
-            assert oracle_rghw_support(c1, c2, r) == lone
-            oracle_rghw_support(*other, 1)
-            assert oracle_rghw_support(c1, c2, r) == lone
+            lone = oracle_rghw_support(c1, c2, r, None)
+            assert oracle_rghw_support(c1, c2, r, None) == lone
+            oracle_rghw_support(*other, 1, None)
+            assert oracle_rghw_support(c1, c2, r, None) == lone
             c1, c2 = fresh_pair(grid, u1, u2)
             chained = ascending(c1, c2, r)
-            assert oracle_rghw_support(c1, c2, r) == chained
-            oracle_rghw_support(*other, 1)
+            assert oracle_rghw_support(c1, c2, r, None) == chained
+            oracle_rghw_support(*other, 1, None)
             assert ascending(c1, c2, r) == chained
             assert (chained.value, chained.witnesses) == (lone.value, lone.witnesses)
             assert chained.states_explored <= lone.states_explored
@@ -461,10 +474,10 @@ def test_rank_answers_do_not_depend_on_order(field, sizes):
     # odd ranks first, then even ones: rank r is bounded through an answered
     # rank i < r - 1 as well as through r - 1; a cold rank has only r
     for grid, u1, u2, ell in chain_pairs(field, sizes):
-        lone = [oracle_rghw_support(*fresh_pair(grid, u1, u2), r) for r in range(1, ell + 1)]
+        lone = [oracle_rghw_support(*fresh_pair(grid, u1, u2), r, None) for r in range(1, ell + 1)]
         c1, c2 = fresh_pair(grid, u1, u2)
         for r in list(range(1, ell + 1, 2)) + list(range(2, ell + 1, 2)):
-            res = oracle_rghw_support(c1, c2, r)
+            res = oracle_rghw_support(c1, c2, r, None)
             want = lone[r - 1]
             assert (res.value, res.witnesses) == (want.value, want.witnesses), (sizes, u1, u2, r)
 
@@ -473,7 +486,7 @@ def test_reasked_rank_searches_again():
     # a re-asked rank is searched, not replayed: after rank 1 is answered,
     # rank 2 stops at M_1 + 1 = 3, which its cold search had to prove
     c1 = build_code(build_grid(F3, (2, 3)), 2)
-    cold, one, again = (oracle_rghw_support(c1, None, r) for r in (2, 1, 2))
+    cold, one, again = (oracle_rghw_support(c1, None, r, None) for r in (2, 1, 2))
     assert [(res.value, res.states_explored) for res in (cold, one, again)] == [
         (3, 196),
         (2, 121),
@@ -496,7 +509,7 @@ def test_rank_budget_parity(field, sizes):
         for r in range(1, ell + 1):
             for ask in (oracle_rghw_support, ascending):
                 c1, c2 = fresh_pair(grid, u1, u2)
-                full = ask(c1, c2, r)
+                full = ask(c1, c2, r, None)
                 states = full.states_explored
                 caps = sorted({1, states // 2, states - 1, states} - {0})
                 warm = [capped(ask, c1, c2, r, cap) for cap in caps]
@@ -520,9 +533,9 @@ def test_support_set_up_is_released():
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        oracle_rghw_support(big, None, 1)
+        oracle_rghw_support(big, None, 1, None)
         held = tracemalloc.get_traced_memory()[0] - start
-        oracle_rghw_support(small, None, 1)
+        oracle_rghw_support(small, None, 1, None)
         after = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
@@ -538,15 +551,76 @@ def test_held_set_up_does_not_grow():
     gc.disable()
     tracemalloc.start()
     try:
-        oracle_rghw_support(c1, None, 1)
+        oracle_rghw_support(c1, None, 1, None)
         start = tracemalloc.get_traced_memory()[0]
         for r in range(2, 10):
-            oracle_rghw_support(c1, None, r)
+            oracle_rghw_support(c1, None, r, None)
         grown = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
         gc.enable()
     assert grown < 4096
+
+
+def test_alternated_oracles_keep_one_set_up_each():
+    # two held objects asked rank by rank in turn: each keeps the set-up its
+    # first rank built, and answers as the wrapper does for a rank asked after
+    # its lower ranks; a fresh object's lone rank is the wrapper's lone rank
+    pairs = [(build_grid(F3, (2, 3)), 2, -1), (build_grid(F4, (2, 2, 2)), 2, 0)]
+    oracles = [SupportOracle(*fresh_pair(*pair)) for pair in pairs]
+    for r in range(1, 5):
+        for oracle, pair in zip(oracles, pairs):
+            assert oracle.rank(r) == ascending(*fresh_pair(*pair), r)
+            lone = SupportOracle(*fresh_pair(*pair)).rank(r)
+            assert lone == oracle_rghw_support(*fresh_pair(*pair), r, None)
+        if r == 1:
+            masks = [oracle.masks for oracle in oracles]
+        assert all(oracle.masks is held for oracle, held in zip(oracles, masks))
+
+
+def test_refused_set_up_leaves_nothing_held():
+    # GF(4) (3,3), u1 = 4 needs 87,372 set-up states, 65,535 of them in the
+    # first pivot's coset: a cap of 80,000 refuses the set-up at the second
+    # pivot, and the first pivot's masks and keys must go with the refusal
+    c1 = build_code(build_grid(F4, (3, 3)), 4)
+    oracle = SupportOracle(c1, None)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        refused = False
+        try:
+            oracle.rank(1, OracleBudget(max_states=80_000))
+        except BudgetExceeded:
+            refused = True
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert refused
+    assert held < 4096
+    assert oracle.masks is None
+    assert oracle.rank(1) == SupportOracle(build_code(c1.grid, 4), None).rank(1)
+
+
+def test_dropped_oracle_frees_its_set_up():
+    # the object is the only holder of its set-up: with the cyclic gc off,
+    # dropping it returns the memory at once
+    c1 = build_code(build_grid(F4, (3, 3)), 4)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        oracle = SupportOracle(c1, None)
+        oracle.rank(1)
+        held = tracemalloc.get_traced_memory()[0] - start
+        del oracle
+        after = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held > 2 * 2**20
+    assert after < 4096
 
 
 def test_window_call_leaves_no_cycle():

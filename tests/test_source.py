@@ -10,8 +10,9 @@ are called by Python itself and are exempt, as are the re-exports of
 `__init__.py`.  A name that appears only in a string annotation counts
 as used.  An underscore attribute is read only through `self` or `cls`,
 so that, for one, no module but `gf.py` touches a Field's tables.  No
-function binds a module global but `oracle_rghw_support`, which holds
-the latest support set-up in `_held`.
+function binds a module global but `oracle_rghw_support`, which keeps
+the `SupportOracle` of the latest pair asked through it in `_held`; the
+CLI holds its own objects and does not call it.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from pathlib import Path
 import rghw
 
 PACKAGE = Path(rghw.__file__).parent
-# lines of src/rghw/*.py once the support search kept no rows between
-# combinations of pivots and verify refused a negative window bound; the
-# package may shrink below it but not grow past it
-SOURCE_LINE_CAP = 1928
+# lines of src/rghw/*.py once the caller held the support set-up in a
+# SupportOracle and verify exited 3 when it confirmed nothing; the package
+# may shrink below it but not grow past it
+SOURCE_LINE_CAP = 1926
 
 
 def parsed_modules() -> dict:
