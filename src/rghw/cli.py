@@ -91,15 +91,8 @@ def hierarchy_json_obj(q: int, shape: BoxShape, band: DegreeBand, records) -> di
     return {
         "query": {"q": q, "sizes": list(shape.d), "u1": band.u1, "u2": band.u2},
         "results": [
-            {
-                "r": rec.r,
-                "a_r": list(rec.a_r),
-                "s": rec.s,
-                "M_r": rec.m_r,
-                "max_zeros": rec.max_zeros,
-                "oracle": rec.oracle,
-            }
-            for rec in records
+            {"r": r, "a_r": list(a_r), "s": s, "M_r": m_r, "max_zeros": max_zeros, "oracle": oracle}
+            for r, a_r, s, m_r, max_zeros, oracle in records
         ],
     }
 
@@ -111,16 +104,13 @@ def _print_hierarchy(q, shape, band, records, fmt, oracle) -> None:
     elif fmt == "csv":
         _emit_csv(
             ["r", "a_r", "s", "M_r", "max_zeros", "oracle"],
-            ([rec.r, rec.a_r, rec.s, rec.m_r, rec.max_zeros, rec.oracle] for rec in records),
+            map(list, records),
         )
     else:
         print(f"q={q} sizes={list(shape.d)} u1={band.u1} u2={band.u2}")
         print("r a_r s M_r max_zeros" + (" oracle" if oracle else ""))
-        for rec in records:
-            row = f"{rec.r} {rec.a_r} {rec.s} {rec.m_r} {rec.max_zeros}"
-            if oracle:
-                row += f" {rec.oracle}"
-            print(row)
+        for r, a_r, s, m_r, max_zeros, value in records:
+            print(f"{r} {a_r} {s} {m_r} {max_zeros}" + (f" {value}" if oracle else ""))
 
 
 # -- subcommands --------------------------------------------------------------------

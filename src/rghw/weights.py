@@ -9,8 +9,10 @@ weight over the box d_1 <= ... <= d_m is
 where a_r is the r-th element of the degree band (u2, u1] in descending
 lexicographic order, encode is the mixed-radix encoding sum(a_i *
 prod(d_j, j > i)), and s is the 1-based descending-lex rank of a_r among
-all box points of degree <= u1.  Everything here is pure box
-combinatorics: no field, no grid, no enumeration.
+all box points of degree <= u1.  For u2 = -1 the band is all of
+{deg <= u1} in that same order, so s = r and M_r = n - encode(a_r): only
+a relative band looks s up.  Everything here is pure box combinatorics:
+no field, no grid, no enumeration.
 """
 
 from __future__ import annotations
@@ -54,22 +56,24 @@ class WeightReport(NamedTuple):
     records: tuple
 
 
-def _record(shape: BoxShape, u1: int, r: int, a_r: tuple) -> WeightRecord:
-    s = _rank_in_leq(shape.d, u1, a_r)
-    n = shape.n
-    m_r = n - shape.encode(a_r) - s + r
-    return WeightRecord(r=r, a_r=a_r, s=s, m_r=m_r, max_zeros=n - m_r)
+def _records(shape: BoxShape, band: DegreeBand, ranked) -> Iterator[WeightRecord]:
+    """The record of each (r, a_r) of `ranked`, O(m) each."""
+    n, d, u1, encode = shape.n, shape.d, band.u1, shape.encode
+    ghw = band.u2 == -1
+    for r, a_r in ranked:
+        s = r if ghw else _rank_in_leq(d, u1, a_r)
+        m_r = n - encode(a_r) - s + r
+        yield WeightRecord(r, a_r, s, m_r, n - m_r)
 
 
 def rghw(query: WeightQuery) -> WeightRecord:
     shape, band, r = query.shape, query.band, query.r
-    return _record(shape, band.u1, r, nth_band_element(shape, band, r))
+    return next(_records(shape, band, [(r, nth_band_element(shape, band, r))]))
 
 
 def iter_hierarchy(shape: BoxShape, band: DegreeBand) -> Iterator[WeightRecord]:
-    """The records r = 1, 2, ..., l one at a time, holding none of them:
-    one `_record` per point of the band walk, O(m) each."""
-    return (_record(shape, band.u1, r, a_r) for r, a_r in enumerate(iter_band(shape, band), 1))
+    """The records r = 1, 2, ..., l one at a time, holding none of them."""
+    return _records(shape, band, enumerate(iter_band(shape, band), 1))
 
 
 def hierarchy(shape: BoxShape, band: DegreeBand) -> WeightReport:

@@ -9,6 +9,7 @@ import itertools
 import math
 import random
 import time
+from operator import gt
 
 import pytest
 
@@ -35,6 +36,7 @@ COMPRESSION_SECONDS_CAP = 300
 WINDOW_SECONDS_CAP = 120
 WEI_SECONDS_CAP = 60
 M1_SECONDS_CAP = 60
+ORDER_SECONDS_CAP = 60
 FOOTPRINT_SEED = 20260816
 
 # window-oracle grids beyond the sweep: (q, sizes, bands or None for all)
@@ -59,6 +61,10 @@ WEI_BOXES = [
 M1_BOXES = [(31623, 31623), (2,) * 40, (1000, 1000, 1000)]
 M1_RANDOM_BOXES = 100
 M1_SEED = 20261020
+
+# order-relation boxes of criterion 12: sides 1..6, m <= 4
+ORDER_BOXES = 400
+ORDER_SEED = 20261021
 
 # attainment spot checks on grids beyond the oracle range, up to n = 10^4
 ATTAINMENT_SPOTS = [
@@ -416,4 +422,60 @@ def test_criterion_11_first_relative_weight_is_the_minimum_distance(report):
     report(
         f"[acceptance] criterion 11 M_1 == d(C(u1)): PASS "
         f"({checks} bands on {len(boxes)} boxes up to n = 2^40 and m = 40, {elapsed:.1f}s)"
+    )
+
+
+def leq_counts(sides):
+    """dim C(u) for u = 0..k, the number of box points of degree <= u, from
+    the sides alone: the degree counts are the coefficients of
+    prod (1 + x + ... + x^(d_i - 1))."""
+    counts = [1]
+    for side in sides:
+        counts = [
+            sum(counts[t - j] for j in range(side) if 0 <= t - j < len(counts))
+            for t in range(len(counts) + side - 1)
+        ]
+    return list(itertools.accumulate(counts))
+
+
+def test_criterion_12_order_relations(report):
+    # From the definition of M_r(C1, C2), the least support of an
+    # r-dimensional subspace of C1 meeting C2 only in 0:
+    #   (a) M_r(C1, C2) <= M_r(C1, C2') for C2 = C(u2) in C2' = C(u2 + 1);
+    #   (b) M_r(C1', C2) <= M_r(C1, C2) for C1 = C(u1) in C1' = C(u1 + 1);
+    #   (c) d_r(C1) = M_r(C1, 0) <= M_r(C1, C2), the u2 = -1 form against
+    #       the relative one;
+    #   (d) M_r(C1, C2) <= n - dim C1 + r, with dim C1 from the sides alone.
+    # Steps of one degree cover every u2 < u2' and u1 < u1' by transitivity.
+    started = time.monotonic()
+    rng = random.Random(ORDER_SEED)
+    checks = failed = 0
+    first = None
+    for _ in range(ORDER_BOXES):
+        sides = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 4)))
+        shape = BoxShape(sides)
+        n, k, dims = shape.n, shape.k, leq_counts(sides)
+        weights = {
+            (band.u2, band.u1): [rec.m_r for rec in iter_hierarchy(shape, band)]
+            for band in all_bands(shape)
+        }
+        for (u2, u1), ws in weights.items():
+            top = n - dims[u1]
+            for check, lo, hi in (
+                ("a", ws, weights.get((u2 + 1, u1), ())),
+                ("b", weights.get((u2, u1 + 1), ()), ws),
+                ("c", weights[-1, u1], ws),
+                ("d", ws, range(top + 1, top + 1 + len(ws))),
+            ):
+                bad = sum(map(gt, lo, hi))  # lo <= hi for each r both bands reach
+                checks += min(len(lo), len(hi))
+                if bad and first is None:
+                    first = (sides, u2, u1, check)
+                failed += bad
+    assert failed == 0, f"{failed} of {checks} order checks failed; first (sides, u2, u1, check) {first}"
+    elapsed = time.monotonic() - started
+    assert elapsed < ORDER_SECONDS_CAP
+    report(
+        f"[acceptance] criterion 12 order relations of M_r in u1 and u2, d_r <= M_r "
+        f"<= n - dim C1 + r: PASS ({checks} checks on {ORDER_BOXES} boxes, {elapsed:.1f}s)"
     )

@@ -1,10 +1,11 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rghw.boxcomb import BoxShape, DegreeBand, band_size
+from rghw.boxcomb import BoxShape, DegreeBand, band_size, lex_rank_in_leq
 from rghw.errors import InvalidBand, RankOutOfRange
 from rghw.weights import (
     WeightQuery,
@@ -134,3 +135,23 @@ def test_every_record_pinned(sizes):
         for rec in hierarchy(shape, band).records:
             digest.update(repr((sizes, band.u2, band.u1, rec)).encode())
     assert digest.hexdigest() == RECORDS_SHA256[sizes]
+
+
+# huge boxes of criterion 11, with (7, 13, 101, 997) beside them
+GHW_SCALE_BOXES = [(31623, 31623), (2,) * 40, (1000, 1000, 1000), (7, 13, 101, 997)]
+
+
+@pytest.mark.parametrize("sizes", GHW_SCALE_BOXES, ids=["31623^2", "2^40", "1000^3", "7,13,101,997"])
+def test_ghw_rank_s_is_r_at_scale(sizes):
+    # On u2 = -1 the band is all of {deg <= u1} in the same order, so the
+    # formula takes s = r without a lookup; the paper's s must agree.
+    shape = BoxShape(sizes)
+    rng = random.Random(sum(sizes))
+    degrees = {0, 1, shape.k // 2, shape.k - 1, shape.k} | {rng.randint(0, shape.k) for _ in range(20)}
+    for u1 in sorted(degrees):
+        band = DegreeBand(-1, u1)
+        ell = band_size(shape, band)
+        for r in {1, 2, ell - 1, ell} | {rng.randint(1, ell) for _ in range(10)}:
+            if 1 <= r <= ell:
+                rec = rghw(WeightQuery(shape, band, r))
+                assert rec.s == r == lex_rank_in_leq(shape, u1, rec.a_r), (sizes, u1, r)
