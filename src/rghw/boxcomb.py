@@ -1,5 +1,8 @@
 """Combinatorics of the exponent box F = {0..d_1-1} x ... x {0..d_m-1}.
 
+A BoxShape holds the sides sorted, d_1 <= ... <= d_m, as the paper states
+every weight; the order they were given in is `CartesianGrid.permutation`.
+
 Points of the box are plain int tuples.  Two orders matter throughout:
 the coordinatewise partial order (a <= b in every coordinate) and the
 lexicographic order on tuples; descending lexicographic enumeration of
@@ -35,29 +38,19 @@ from .errors import (
 BoxPoint = tuple  # int tuples; validated against a BoxShape at API boundaries
 
 
-class BoxShape:
-    """Side lengths of the exponent box, normalized to ascending order.
+class BoxShape(NamedTuple("BoxShape", [("d", tuple)])):
+    """The sides d of the exponent box, sorted ascending from `sizes`."""
 
-    `permutation` records where each normalized coordinate came from:
-    d[i] == sizes[permutation[i]] for the constructor argument `sizes`.
-    Shapes compare and hash by their normalized side tuple alone.
-    """
+    __slots__ = ()
 
-    __slots__ = ("d", "permutation")
-
-    def __init__(self, sizes: Iterable[int]):
+    def __new__(cls, sizes: Iterable[int]):
         sizes = tuple(sizes)
         if not sizes:
             raise ShapeMismatch("a box needs at least one coordinate")
         for s in sizes:
             if not isinstance(s, int) or s < 1:
                 raise ShapeMismatch(f"box side {s!r} is not a positive int")
-        order = sorted(range(len(sizes)), key=lambda i: (sizes[i], i))
-        object.__setattr__(self, "d", tuple(sizes[i] for i in order))
-        object.__setattr__(self, "permutation", tuple(order))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BoxShape is immutable")
+        return super().__new__(cls, tuple(sorted(sizes)))
 
     @property
     def m(self) -> int:
@@ -82,19 +75,13 @@ class BoxShape:
         """Mixed-radix encoding sum(a_i * prod(d_j, j>i)); the same sum the
         closed weight formula subtracts."""
         out = 0
-        for i in range(self.m):
-            out = out * self.d[i] + a[i]
+        for s, x in zip(self.d, a):
+            out = out * s + x
         return out
 
     def points(self) -> Iterator[BoxPoint]:
         """All box points, mixed-radix ascending (last coordinate fastest)."""
         return itertools.product(*(range(s) for s in self.d))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BoxShape) and other.d == self.d
-
-    def __hash__(self) -> int:
-        return hash(("rghw.BoxShape", self.d))
 
     def __repr__(self) -> str:
         return f"BoxShape{self.d}"
@@ -205,9 +192,14 @@ def nth_band_element(shape: BoxShape, band: DegreeBand, r: int) -> BoxPoint:
     F(v) - F(d_i) >= r, is a bisection.
     """
     check_rank(shape, band, r)
+    return _nth_band_element(shape.d, band, r)
+
+
+def _nth_band_element(d: tuple, band: DegreeBand, r: int) -> BoxPoint:
+    """`nth_band_element` of a rank the caller has checked."""
     lo, hi = band.u2, band.u1
     out = []
-    for tab, side in zip(_sum_tables(shape.d), shape.d):
+    for tab, side in zip(_sum_tables(d), d):
         target = r + _sum(tab, hi - side) - _sum(tab, lo - side)
         v = bisect_right(
             range(side), -target, key=lambda v: _sum(tab, lo - v) - _sum(tab, hi - v)

@@ -17,7 +17,7 @@ import sys
 from math import prod
 from random import Random
 
-from .boxcomb import BoxShape, DegreeBand, band_size, check_band, footprint
+from .boxcomb import BoxShape, DegreeBand, check_band, footprint
 from .codes import CartesianCode, CartesianGrid
 from .errors import BudgetExceeded, RghwError
 from .gf import Field
@@ -31,6 +31,7 @@ DEFAULT_GRID_SHAPES = ((2,), (3,), (2, 2), (2, 3), (3, 3), (2, 2, 2))
 VERIFY_COLUMNS = (
     "q", "sizes", "u1", "u2", "r", "formula", "support", "window", "attainment", "status",
 )
+VERIFY_MAX_N = 9  # default largest grid of the verify sweep and of its window route
 FOOTPRINT_MAX_N = 12  # largest grid of the footprint sweep
 
 
@@ -62,7 +63,7 @@ def _code_query(args):
     grid = CartesianGrid(field, sizes, subsets, args.policy or "first")
     shape = grid.shape
     if shape.d != tuple(sizes):
-        moved = f"sorted ascending to {list(shape.d)} (permutation {list(shape.permutation)})"
+        moved = f"sorted ascending to {list(shape.d)} (permutation {list(grid.permutation)})"
         print(f"WARNING: sizes {sizes} {moved}", file=sys.stderr)
     band = DegreeBand(args.u2, args.u1)
     check_band(shape, band)
@@ -176,8 +177,8 @@ def cmd_maximal(args) -> int:
 def run_verify_grid(
     qs,
     shapes,
-    max_n: int = 9,
-    window_max_n: int = 9,
+    max_n: int = VERIFY_MAX_N,
+    window_max_n: int = VERIFY_MAX_N,
     budget: OracleBudget | None = None,
 ):
     """Formula-vs-oracle sweep.  Returns (rows, summary); each row is a dict
@@ -200,9 +201,8 @@ def run_verify_grid(
                     c1 = codes[u1]
                     c2 = codes[u2] if u2 >= 0 else None
                     oracle = SupportOracle(c1, c2)  # frees the last band's set-up
-                    ell = band_size(shape, band)
-                    for r in range(1, ell + 1):
-                        formula = rghw(WeightQuery(shape, band, r)).m_r
+                    for rec in iter_hierarchy(shape, band):
+                        r, formula = rec.r, rec.m_r
                         support = window = None
                         skipped = False
                         try:
@@ -345,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--shapes",
         default=";".join(",".join(str(s) for s in sh) for sh in DEFAULT_GRID_SHAPES),
     )
-    v.add_argument("--max-n", type=int, default=9)
-    v.add_argument("--window-max-n", type=int, default=9)
+    v.add_argument("--max-n", type=int, default=VERIFY_MAX_N)
+    v.add_argument("--window-max-n", type=int, default=VERIFY_MAX_N)
     v.add_argument("--footprint", type=int, default=0, help="random families per field")
     v.add_argument("--seed", type=int, default=0)
     _add_common(v)

@@ -3,9 +3,10 @@
 A CartesianGrid is a product A_1 x ... x A_m of distinct-element subsets
 of GF(q), with |A_i| = d_i ascending; its constructor (also named
 `build_grid`, as CartesianCode's is `build_code`) is the one check of
-sizes and explicit subsets.  Points are ordered mixed-radix (last
-coordinate fastest), so a point's position is the mixed-radix encoding
-of its index tuple, as in the box.
+sizes and explicit subsets.  Its shape holds the sorted sides, and the
+grid the order they were given in (`permutation`).  Points are ordered
+mixed-radix (last coordinate fastest), so a point's position is the
+mixed-radix encoding of its index tuple, as in the box.
 
 A grid evaluates a polynomial one coordinate at a time on whole rows:
 each stage is Kronecker products and sums of rows with the power columns
@@ -87,8 +88,9 @@ class _Powers(dict):
 class CartesianGrid:
     """Evaluation point set A_1 x ... x A_m; power columns built on first read.
 
-    `sizes` are sorted ascending, and explicit `subsets` (one per size, in
-    the order given, of that size, of distinct GF(q) encodings) with them;
+    `sizes` are sorted ascending, equal ones keeping their order, with
+    shape.d[i] == sizes[permutation[i]]; explicit `subsets` (one per size, in
+    the order given, of that size, of distinct GF(q) encodings) go with them;
     without subsets, `policy` "first" takes the lowest d_i encodings of the
     field as A_i, and "last" the highest.
 
@@ -97,11 +99,12 @@ class CartesianGrid:
     coefficients; `evaluate` applies them one coordinate at a time.
     """
 
-    __slots__ = ("field", "shape", "subsets", "_cols")
+    __slots__ = ("field", "shape", "permutation", "subsets", "_cols")
 
     def __init__(self, field: Field, sizes: Iterable[int], subsets=None, policy="first"):
         sizes = tuple(sizes)
         shape = BoxShape(sizes)
+        order = tuple(sorted(range(len(sizes)), key=sizes.__getitem__))
         q = field.q
         if shape.d[-1] > q:
             raise SubsetTooLarge(f"d_m = {shape.d[-1]} > q = {q}")
@@ -116,7 +119,7 @@ class CartesianGrid:
                 for g in sub:
                     if not 0 <= g < q:
                         raise ShapeMismatch(f"element {g!r} is not a GF({q}) encoding")
-            subsets = [subsets[i] for i in shape.permutation]  # as the sizes, ascending
+            subsets = [subsets[i] for i in order]  # as the sizes, ascending
         elif policy == "first":
             subsets = [range(d) for d in shape.d]
         elif policy == "last":
@@ -125,6 +128,7 @@ class CartesianGrid:
             raise ShapeMismatch(f"unknown subset policy {policy!r}")
         self.field = field
         self.shape = shape
+        self.permutation = order
         self.subsets = tuple(tuple(s) for s in subsets)
         self._cols = tuple(_Powers(field, sub) for sub in self.subsets)
 

@@ -22,10 +22,10 @@ from typing import Iterator, NamedTuple
 from .boxcomb import (
     BoxShape,
     DegreeBand,
+    _nth_band_element,
     _rank_in_leq,
     check_rank,
     iter_band,
-    nth_band_element,
 )
 
 
@@ -68,7 +68,7 @@ def _records(shape: BoxShape, band: DegreeBand, ranked) -> Iterator[WeightRecord
 
 def rghw(query: WeightQuery) -> WeightRecord:
     shape, band, r = query.shape, query.band, query.r
-    return next(_records(shape, band, [(r, nth_band_element(shape, band, r))]))
+    return next(_records(shape, band, [(r, _nth_band_element(shape.d, band, r))]))
 
 
 def iter_hierarchy(shape: BoxShape, band: DegreeBand) -> Iterator[WeightRecord]:

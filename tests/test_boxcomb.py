@@ -25,13 +25,16 @@ from rghw.boxcomb import (
     nth_band_element,
     shadow,
 )
+from rghw.codes import CartesianGrid
 from rghw.errors import (
     DegreeTooHigh,
     InvalidBand,
     RankOutOfRange,
     ShapeMismatch,
 )
+from rghw.gf import Field
 
+F4 = Field(4)
 SHAPES = [BoxShape(s) for s in ((2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 4))]
 
 
@@ -44,29 +47,41 @@ def all_bands(shape):
 
 
 def test_shape_normalization():
+    # the shape holds the sorted sides; the grid holds the order they came in
     s = BoxShape((3, 2))
     assert s.d == (2, 3)
-    assert s.permutation == (1, 0)
+    assert CartesianGrid(F4, (3, 2)).permutation == (1, 0)
     assert s.m == 2 and s.n == 6 and s.k == 3
     t = BoxShape((4, 2, 3, 2))
     assert t.d == (2, 2, 3, 4)
-    assert t.permutation == (1, 3, 2, 0)
-    assert [t.d[i] for i in range(4)] == [(4, 2, 3, 2)[p] for p in t.permutation]
+    permutation = CartesianGrid(F4, (4, 2, 3, 2)).permutation
+    assert permutation == (1, 3, 2, 0)
+    assert [t.d[i] for i in range(4)] == [(4, 2, 3, 2)[p] for p in permutation]
 
 
 def test_shape_is_immutable_and_hashable():
     s = BoxShape((2, 3))
     with pytest.raises(AttributeError):
         s.d = (3, 3)
+    with pytest.raises(AttributeError):
+        s.permutation = (0, 1)
     assert s == BoxShape((3, 2))
     assert hash(s) == hash(BoxShape((2, 3)))
     assert s != BoxShape((2, 2))
+    assert repr(BoxShape((3, 2))) == "BoxShape(2, 3)"
 
 
 def test_shape_rejects_bad_sizes():
-    for bad in ((), (0,), (2, -1), (2, 2.5)):
-        with pytest.raises(ShapeMismatch):
+    messages = {
+        (): "a box needs at least one coordinate",
+        (0,): "box side 0 is not a positive int",
+        (2, -1): "box side -1 is not a positive int",
+        (2, 2.5): "box side 2.5 is not a positive int",
+    }
+    for bad, message in messages.items():
+        with pytest.raises(ShapeMismatch) as raised:
             BoxShape(bad)
+        assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=str)

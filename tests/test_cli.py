@@ -290,11 +290,11 @@ def test_verify_window_bound_zero_turns_the_route_off(capsys):
 
 
 def test_verify_corrupt_formula_fails(capsys, monkeypatch):
-    def off_by_one(query):
-        record = weights.rghw(query)
-        return record._replace(m_r=record.m_r + 1)
+    def off_by_one(shape, band):
+        for record in weights.iter_hierarchy(shape, band):
+            yield record._replace(m_r=record.m_r + 1)
 
-    monkeypatch.setattr(cli, "rghw", off_by_one)
+    monkeypatch.setattr(cli, "iter_hierarchy", off_by_one)
     code, out, err = run_cli(capsys, "verify", "--q-list", "2", "--shapes", "2,2")
     assert code == 1
     *rows, summary = out.splitlines()

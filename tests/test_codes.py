@@ -51,7 +51,7 @@ def test_grid_policies():
 def test_grid_explicit_subsets_follow_sort_permutation():
     grid = CartesianGrid(F3, (3, 2), subsets=[(0, 1, 2), (0, 2)])
     assert grid.shape.d == (2, 3)
-    assert grid.shape.permutation == (1, 0)
+    assert grid.permutation == (1, 0)
     assert grid.subsets == ((0, 2), (0, 1, 2))
 
 

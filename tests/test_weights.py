@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rghw import boxcomb
 from rghw.boxcomb import BoxShape, DegreeBand, band_size, lex_rank_in_leq
 from rghw.errors import InvalidBand, RankOutOfRange
 from rghw.weights import (
@@ -74,6 +75,25 @@ def test_query_validation():
         WeightQuery(shape, DegreeBand(0, 4), 1)
     with pytest.raises(InvalidBand):
         WeightQuery(shape, DegreeBand(-3, 1), 1)
+
+
+def test_rank_is_checked_once_per_rghw(monkeypatch):
+    # WeightQuery checks r when it is built, so rghw does not check it again;
+    # nth_band_element, which rghw leaves out, still checks for its callers
+    calls, size = [], boxcomb.band_size
+
+    def counted(shape, band):
+        calls.append(band)
+        return size(shape, band)
+
+    monkeypatch.setattr(boxcomb, "band_size", counted)
+    shape = BoxShape((31623, 31623))
+    for band in (DegreeBand(-1, 40000), DegreeBand(100, 40000)):
+        calls.clear()
+        rghw(WeightQuery(shape, band, 12345))
+        assert calls == [band]
+        with pytest.raises(RankOutOfRange):
+            boxcomb.nth_band_element(shape, band, 0)
 
 
 @pytest.mark.parametrize(
