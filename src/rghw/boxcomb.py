@@ -42,6 +42,7 @@ class BoxShape(NamedTuple("BoxShape", [("d", tuple)])):
     """The sides d of the exponent box, sorted ascending from `sizes`."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked; _replace calls it
 
     def __new__(cls, sizes: Iterable[int]):
         sizes = tuple(sizes)
@@ -91,6 +92,7 @@ class DegreeBand(NamedTuple("DegreeBand", [("u2", int), ("u1", int)])):
     """Half-open degree window (u2, u1]; u2 = -1 means no lower cut."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked; _replace calls it
 
     def __new__(cls, u2: int, u1: int):
         if u2 < -1:

@@ -88,9 +88,13 @@ def _emit_csv(header, rows) -> None:
         writer.writerow(row)
 
 
+def _query_json(q: int, shape: BoxShape, band: DegreeBand) -> dict:
+    return {"q": q, "sizes": list(shape.d), "u1": band.u1, "u2": band.u2}
+
+
 def hierarchy_json_obj(q: int, shape: BoxShape, band: DegreeBand, records) -> dict:
     return {
-        "query": {"q": q, "sizes": list(shape.d), "u1": band.u1, "u2": band.u2},
+        "query": _query_json(q, shape, band),
         "results": [
             {"r": r, "a_r": list(a_r), "s": s, "M_r": m_r, "max_zeros": max_zeros, "oracle": oracle}
             for r, a_r, s, m_r, max_zeros, oracle in records
@@ -142,13 +146,7 @@ def cmd_maximal(args) -> int:
     support = shape.n - zeros
     if args.format == "json":
         obj = {
-            "query": {
-                "q": field.q,
-                "sizes": list(shape.d),
-                "u1": band.u1,
-                "u2": band.u2,
-                "r": args.r,
-            },
+            "query": {**_query_json(field.q, shape, band), "r": args.r},
             "family": [f.render() for f in family],
             "leading_exponents": [list(f.leading_term().exponent) for f in family],
             "common_zeros": zeros,
@@ -306,10 +304,6 @@ def cmd_verify(args) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
-
-
 def _add_code_options(sub) -> None:
     sub.add_argument("--q", type=int, required=True, help="field order (prime power)")
     sub.add_argument("--sizes", required=True, help="comma separated d_1,...,d_m")
@@ -330,13 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_code_options(h)
     h.add_argument("--r", type=int, help="single rank instead of the full hierarchy")
     h.add_argument("--oracle", action="store_true", help="confirm rows by brute force")
-    _add_common(h)
     h.set_defaults(func=cmd_hierarchy)
 
     m = subs.add_parser("maximal", help="maximal polynomial family attaining M_r")
     _add_code_options(m)
     m.add_argument("--r", type=int, required=True)
-    _add_common(m)
     m.set_defaults(func=cmd_maximal)
 
     v = subs.add_parser("verify", help="formula vs oracle sweep over a grid of codes")
@@ -349,8 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--window-max-n", type=int, default=VERIFY_MAX_N)
     v.add_argument("--footprint", type=int, default=0, help="random families per field")
     v.add_argument("--seed", type=int, default=0)
-    _add_common(v)
     v.set_defaults(func=cmd_verify)
+    for sub in (h, m, v):
+        sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
     for sub in (h, v):  # the subcommands that run an oracle
         sub.add_argument("--budget-states", type=int, default=OracleBudget().max_states)
         sub.add_argument("--budget-seconds", type=int, default=OracleBudget().time_cap)
@@ -362,12 +355,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (RghwError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, BudgetExceeded) else 2
     except Exception as exc:
         message = " ".join(str(exc).split())
         print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)

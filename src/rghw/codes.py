@@ -11,10 +11,11 @@ mixed-radix encoding of its index tuple, as in the box.
 A grid evaluates a polynomial one coordinate at a time on whole rows:
 each stage is Kronecker products and sums of rows with the power columns
 [a^e for a in A_i], through the Field's row kernels (`Field.kron`,
-`Field.add_rows`).  It can stop at a prefix of the points, whole values
-of x_1, which is all a common-zero count needs past its first member.
-A column is built when `evaluate` first reads it, and kept, so a grid
-costs no more to build than its subsets.
+`Field.add_rows`).  The stages stop after the last coordinate a term
+uses, since x^0 only repeats values.  It can stop at a prefix of the
+points, whole values of x_1, which is all a common-zero count needs past
+its first member.  A column is built when `evaluate` first reads it, and
+kept, so a grid costs no more to build than its subsets.
 
 A CartesianCode of degree bound u evaluates every monomial x^a with
 deg(a) <= u (exponents in the box) on the grid; rows of the generator
@@ -30,7 +31,7 @@ row kernels.
 
 from __future__ import annotations
 
-import itertools
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 from .boxcomb import BoxShape, DegreeBand, iter_band
@@ -62,7 +63,7 @@ def rref(rows: Iterable[Sequence[int]], field: Field):
             continue
         row = work.pop(pick)
         row = field.kron((field.inv(row[col]),), row)
-        for other in itertools.chain(reduced, work):
+        for other in chain(reduced, work):
             c = other[col]
             if c:  # other - c * row, from the pivot column on
                 other[col:] = field.add_rows(other[col:], row[col:], field.neg(c))
@@ -150,6 +151,8 @@ class CartesianGrid:
         (points of the first i coordinates) products and as many sums.
         Stage 1 reads the first ceil(count / (n / d_1)) entries of each
         column, and later stages keep that prefix, since x_1 varies slowest.
+        The stages stop after x_t, the last coordinate a term uses: each
+        value repeats over tail = d_{t+1}...d_m points (all kept ones, if t = 0).
         """
         kron, add_rows = self.field.kron, self.field.add_rows
         n, d1 = self.shape.n, self.shape.d[0]
@@ -157,6 +160,8 @@ class CartesianGrid:
         cut = head < d1
         rows = {e: (c,) for e, c in terms.items()}
         for cols in self._cols:
+            if len(rows) < 2 and not any(next(iter(rows), ())):  # every exponent left is 0
+                break
             step: dict = {}
             for exp, row in rows.items():
                 rest = exp[1:]
@@ -164,7 +169,9 @@ class CartesianGrid:
                 have = step.get(rest)
                 step[rest] = part if have is None else add_rows(have, part)
             rows, cut = step, False
-        return tuple(rows.get((), [0] * (head * (n // d1))))
+        row = next(iter(rows.values()), (0,))
+        tail = head * (n // d1) // (len(row) or 1)  # the row is empty for count 0
+        return tuple(row) if tail == 1 else tuple(chain.from_iterable(map(repeat, row, repeat(tail))))
 
     def __repr__(self) -> str:
         return f"CartesianGrid(GF({self.field.q}), {self.shape.d})"

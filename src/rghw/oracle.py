@@ -62,6 +62,7 @@ class OracleBudget(NamedTuple("OracleBudget", [("max_states", int), ("time_cap",
     """States and wall-clock seconds an oracle call may spend."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked; _replace calls it
 
     def __new__(cls, max_states: int = DEFAULT_MAX_STATES, time_cap: int = DEFAULT_TIME_CAP):
         if max_states < 1:

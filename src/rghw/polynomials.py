@@ -18,14 +18,12 @@ from __future__ import annotations
 
 from itertools import islice
 from random import Random
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .boxcomb import BoxShape, DegreeBand, check_rank, iter_band
+from .codes import CartesianGrid
 from .errors import EmptyFamily, ShapeMismatch
 from .gf import Field
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .codes import CartesianGrid
 
 
 class LeadingTerm(NamedTuple):
@@ -91,7 +89,7 @@ class MultiPoly:
         return f"MultiPoly({self.render()!r} over GF({self.field.q}))"
 
 
-def make_maximal_poly(grid: "CartesianGrid", b) -> MultiPoly:
+def make_maximal_poly(grid: CartesianGrid, b) -> MultiPoly:
     """The canonical degree-|b| polynomial with leading exponent b that
     vanishes on every grid point whose index tuple does not dominate b.
 
@@ -116,9 +114,10 @@ def make_maximal_poly(grid: "CartesianGrid", b) -> MultiPoly:
     return MultiPoly(field, shape, terms)
 
 
-def common_zero_count(fs: Sequence[MultiPoly], grid: "CartesianGrid") -> int:
+def common_zero_count(fs: Sequence[MultiPoly], grid: CartesianGrid) -> int:
     """Number of grid points where every polynomial of the family vanishes;
-    each member is evaluated only up to the last common zero of those before it."""
+    each member is evaluated only up to the last common zero of those before
+    it, and only over the coordinates up to the last one it uses (`evaluate`)."""
     if not fs:
         raise EmptyFamily("common_zero_count needs at least one polynomial")
     if any(f.shape != grid.shape or f.field != grid.field for f in fs):
@@ -132,7 +131,7 @@ def common_zero_count(fs: Sequence[MultiPoly], grid: "CartesianGrid") -> int:
     return len(alive)
 
 
-def maximal_family(grid: "CartesianGrid", band: DegreeBand, r: int) -> list[MultiPoly]:
+def maximal_family(grid: CartesianGrid, band: DegreeBand, r: int) -> list[MultiPoly]:
     """Canonical family for the first r band exponents, from one descending-lex band walk."""
     check_rank(grid.shape, band, r)
     return [make_maximal_poly(grid, b) for b in islice(iter_band(grid.shape, band), r)]

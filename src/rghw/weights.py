@@ -31,6 +31,7 @@ from .boxcomb import (
 
 class WeightQuery(NamedTuple("WeightQuery", [("shape", BoxShape), ("band", DegreeBand), ("r", int)])):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked; _replace calls it
 
     def __new__(cls, shape: BoxShape, band: DegreeBand, r: int):
         check_rank(shape, band, r)

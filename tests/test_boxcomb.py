@@ -84,6 +84,17 @@ def test_shape_rejects_bad_sizes():
         assert str(raised.value) == message
 
 
+def test_shape_replace_and_make_sort_and_check_as_the_constructor():
+    # _replace builds through _make, which goes through __new__
+    s = BoxShape((2, 3))
+    assert s._replace(d=(3, 2)).d == (2, 3)
+    assert BoxShape._make([(4, 2, 3)]).d == (2, 3, 4)
+    with pytest.raises(ShapeMismatch):
+        s._replace(d=(0, 2))
+    with pytest.raises(ShapeMismatch):
+        BoxShape._make([()])
+
+
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
 def test_encode_decode_roundtrip(shape):
     pts = list(shape.points())
@@ -139,6 +150,17 @@ def test_band_validation():
     with pytest.raises(InvalidBand):
         check_band(BoxShape((2, 2)), DegreeBand(0, 3))
     check_band(BoxShape((2, 2)), DegreeBand(-1, 2))
+
+
+def test_band_replace_and_make_check_as_the_constructor():
+    band = DegreeBand(0, 2)
+    assert band._replace(u2=-1) == DegreeBand(-1, 2)
+    with pytest.raises(InvalidBand):
+        band._replace(u1=0)
+    with pytest.raises(InvalidBand):
+        band._replace(u2=-2)
+    with pytest.raises(InvalidBand):
+        DegreeBand._make((3, 1))
 
 
 def test_enumerate_band_frozen_examples():

@@ -103,12 +103,20 @@ def test_grid_builds_each_power_column_once_on_first_read(monkeypatch):
     monkeypatch.setattr(Field, "powers", counted)
     grid = CartesianGrid(F4, (4, 3))
     assert built == []
+    # the stages after the last coordinate that a term uses have every
+    # exponent 0: they run no Kronecker product and build no x^0 column
     assert grid.monomial_values((2, 0)) == (0, 0, 0, 0, 1, 1, 1, 1, 3, 3, 3, 3)
-    assert built == [((0, 1, 2), 2), ((0, 1, 2, 3), 0)]
+    assert built == [((0, 1, 2), 2)]
+    assert grid.monomial_values((0, 0)) == (1,) * 12
+    assert grid.evaluate({(0, 0): 2}, 5) == (2,) * 8
+    assert built == [((0, 1, 2), 2)]
     for d in range(grid.shape.k + 1):
         CartesianCode(grid, d)
     grid.evaluate({(1, 3): 1, (2, 3): 1, (0, 1): 2})
+    # no evaluation above reads x_2^0: each x_2 stage that ran had a power above 0
     every = [(sub, e) for sub in grid.subsets for e in range(len(sub))]
+    assert sorted(built) == sorted(set(every) - {((0, 1, 2, 3), 0)})
+    grid.evaluate({(1, 0): 1, (0, 2): 1})  # x_2^0 beside x_2^2 reads it
     assert sorted(built) == sorted(every)
 
 
@@ -154,10 +162,31 @@ def test_evaluate_prefix_matches_full_evaluation(q):
             }
             full = grid.evaluate(terms)
             assert len(full) == n
-            for count in (1, tail, tail + 1, n):
+            for count in (0, 1, tail, tail + 1, n):
                 values = grid.evaluate(terms, count)
                 assert len(values) == min(n, -(-count // tail) * tail), (sizes, count)
                 assert values == full[: len(values)], (sizes, terms, count)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 101])
+def test_evaluate_prefix_of_constant_terms(q):
+    # no stage runs for a constant or the zero polynomial, and one for a term
+    # in x_1 alone: the values still fill ceil(count / (n / d_1)) * (n / d_1)
+    # points
+    field = Field(q)
+    rng = random.Random(q + 17)
+    for m in (1, 2, 3):
+        sizes = [rng.randint(1, min(q, 5)) for _ in range(m)]
+        grid = build_grid(field, sizes, policy=rng.choice(("first", "last")))
+        n, tail = grid.shape.n, grid.shape.n // grid.shape.d[0]
+        zero = (0,) * m
+        c = rng.randrange(1, q)
+        for terms, value in (({zero: c}, c), ({}, 0), ({zero: 0}, 0), ({(1,) + zero[1:]: 0}, 0)):
+            if not grid.shape.contains(next(iter(terms), zero)):
+                continue
+            assert grid.evaluate(terms) == (value,) * n
+            for count in range(1, n + 1):
+                assert grid.evaluate(terms, count) == (value,) * (-(-count // tail) * tail), (sizes, count)
 
 
 @pytest.mark.skipif(sys.implementation.name != "cpython", reason="counts CPython blocks")

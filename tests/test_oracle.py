@@ -11,7 +11,7 @@ from brute import oracle_max_zeros_families
 from rghw.boxcomb import BoxShape, DegreeBand, band_size, iter_band
 from rghw.cli import DEFAULT_GRID_QS, DEFAULT_GRID_SHAPES
 from rghw.codes import build_code, build_grid
-from rghw.errors import BudgetExceeded, InvalidNesting, RankOutOfRange
+from rghw.errors import BudgetExceeded, InvalidBudget, InvalidNesting, RankOutOfRange
 from rghw.gf import Field, PackedVectors
 from rghw.oracle import (
     OracleBudget,
@@ -318,6 +318,15 @@ def test_budget_window_and_families():
         oracle_max_zeros_families(
             grid, DegreeBand(-1, 3), 2, budget=OracleBudget(max_states=20)
         )
+
+
+def test_budget_replace_and_make_check_as_the_constructor():
+    budget = OracleBudget(max_states=10)
+    assert budget._replace(time_cap=0) == OracleBudget(10, 0)
+    with pytest.raises(InvalidBudget):
+        budget._replace(max_states=0)
+    with pytest.raises(InvalidBudget):
+        OracleBudget._make((10, -1))
 
 
 def test_invalid_nesting():

@@ -377,3 +377,52 @@ def test_maximal_family_attains_weight_on_random_grids(query):
     grid, band, r = query
     zeros = common_zero_count(maximal_family(grid, band, r), grid)
     assert grid.shape.n - zeros == rghw(WeightQuery(grid.shape, band, r)).m_r
+
+
+@st.composite
+def sub_grid_families(draw):
+    """(grid, family): a grid as in `attainment_queries` with n <= 48 and
+    1..4 members, each a constant, a polynomial in x_1 alone, one in the
+    first t coordinates (x_{t+1}..x_m at exponent 0), one in all of them, a
+    maximal polynomial, or the zero polynomial."""
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9)))
+    field = Field(q)
+    sizes = []
+    n = 1
+    for _ in range(draw(st.integers(1, 4))):
+        sizes.append(draw(st.integers(1, min(q, 48 // n))))
+        n *= sizes[-1]
+    points = draw(st.sampled_from(("first", "last", "explicit")))
+    if points == "explicit":
+        grid = build_grid(field, sizes, subsets=[draw(st.permutations(range(q)))[:s] for s in sizes])
+    else:
+        grid = build_grid(field, sizes, policy=points)
+    d = grid.shape.d
+    family = []
+    kinds = st.sampled_from(("constant", "x1", "leading", "all", "maximal", "zero"))
+    for kind in draw(st.lists(kinds, min_size=1, max_size=4)):
+        if kind == "maximal":
+            family.append(make_maximal_poly(grid, tuple(draw(st.integers(0, s - 1)) for s in d)))
+            continue
+        used = {"constant": 0, "x1": 1, "leading": draw(st.integers(1, len(d))), "all": len(d), "zero": 0}[kind]
+        terms = {}
+        for _ in range(draw(st.integers(1, 4)) if kind != "zero" else 0):
+            exp = tuple(draw(st.integers(0, s - 1)) if i < used else 0 for i, s in enumerate(d))
+            terms[exp] = draw(st.integers(0, q - 1))
+        family.append(MultiPoly(field, grid.shape, terms))
+    return grid, family
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sub_grid_families())
+def test_common_zero_count_matches_scalar_count_on_sub_grid_members(query):
+    # each member, evaluated on the sub-grid of the coordinates it uses,
+    # against every point evaluated by scalar Field.mul and Field.add
+    grid, family = query
+    field = grid.field
+    points = list(itertools.product(*grid.subsets))
+    scalar = [tuple(brute.brute_eval(field, f.terms, x) for x in points) for f in family]
+    for f, values in zip(family, scalar):
+        assert grid.evaluate(f.terms) == values
+    zeros = sum(not any(values[i] for values in scalar) for i in range(len(points)))
+    assert common_zero_count(family, grid) == zeros

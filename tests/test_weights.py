@@ -77,6 +77,19 @@ def test_query_validation():
         WeightQuery(shape, DegreeBand(-3, 1), 1)
 
 
+def test_query_replace_and_make_check_as_the_constructor():
+    # a replaced rank outside the band used to give rghw a record of
+    # a_r = (-1, -1), s = 9, m_r = 10 and max_zeros = -4
+    query = WeightQuery(BoxShape((2, 3)), DegreeBand(0, 2), 1)
+    assert rghw(query._replace(r=4)) == rghw(WeightQuery(BoxShape((2, 3)), DegreeBand(0, 2), 4))
+    with pytest.raises(RankOutOfRange):
+        query._replace(r=9)
+    with pytest.raises(RankOutOfRange):
+        WeightQuery._make((BoxShape((2, 3)), DegreeBand(0, 2), 0))
+    with pytest.raises(InvalidBand):
+        query._replace(band=DegreeBand(0, 4))
+
+
 def test_rank_is_checked_once_per_rghw(monkeypatch):
     # WeightQuery checks r when it is built, so rghw does not check it again;
     # nth_band_element, which rghw leaves out, still checks for its callers
