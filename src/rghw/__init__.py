@@ -8,11 +8,17 @@ both.  See README.md for the shape of the API and the CLI.
 from .boxcomb import (
     BoxShape,
     DegreeBand,
+    WeightQuery,
+    WeightRecord,
+    WeightReport,
     band_size,
     footprint,
+    hierarchy,
     iter_band,
+    iter_hierarchy,
     lex_rank_in_leq,
     nth_band_element,
+    rghw,
     shadow,
 )
 from .codes import (
@@ -51,14 +57,6 @@ from .polynomials import (
     common_zero_count,
     make_maximal_poly,
     maximal_family,
-)
-from .weights import (
-    WeightQuery,
-    WeightRecord,
-    WeightReport,
-    hierarchy,
-    iter_hierarchy,
-    rghw,
 )
 
 __version__ = "0.1.0"

@@ -4,7 +4,7 @@ All results go to stdout, diagnostics to stderr.  Every number printed
 is an exact integer.  Exit codes: 0 success, 1 verification mismatch,
 2 invalid input, 3 budget exhausted while an oracle was requested (or a
 verify whose every tuple was SKIPPED), 4 internal error (any other
-exception, reported on one line).
+exception, reported on one line), 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -13,17 +13,17 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import sys
 from math import prod
 from random import Random
 
-from .boxcomb import BoxShape, DegreeBand, check_band, footprint
+from .boxcomb import BoxShape, DegreeBand, WeightQuery, check_band, footprint, iter_hierarchy, rghw
 from .codes import CartesianCode, CartesianGrid
 from .errors import BudgetExceeded, RghwError
 from .gf import Field
 from .oracle import OracleBudget, SupportOracle, oracle_rghw_window
 from .polynomials import common_zero_count, maximal_family, random_poly
-from .weights import WeightQuery, iter_hierarchy, rghw
 
 DEFAULT_GRID_QS = (2, 3, 4)
 DEFAULT_GRID_SHAPES = ((2,), (3,), (2, 2), (2, 3), (3, 3), (2, 2, 2))
@@ -355,6 +355,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader left (`| head`); 128 + SIGPIPE, as the shell reports
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the last flush
+        return 141
     except (RghwError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, BudgetExceeded) else 2

@@ -82,6 +82,8 @@ class _Powers(dict):
         self.field, self.subset = field, subset
 
     def __missing__(self, e):
+        if not 0 <= e < len(self.subset):
+            raise ShapeMismatch(f"exponent {e!r} outside 0..{len(self.subset) - 1} of a grid side")
         column = self[e] = self.field.powers(self.subset, e)
         return column
 
@@ -135,14 +137,13 @@ class CartesianGrid:
 
     def monomial_values(self, exp) -> tuple:
         """Values of x^exp at every grid point, in point order."""
-        exp = tuple(exp)
-        self.shape.require_point(exp)
-        return self.evaluate({exp: 1})
+        return self.evaluate({tuple(exp): 1})
 
     def evaluate(self, terms: dict, count=None) -> tuple:
         """Values of sum c_e x^e over `terms` = {e: c} at the grid points
         before `count` (all n without it), rounded up to whole values of the
-        first coordinate, in point order; exponents must lie in the box.
+        first coordinate, in point order.  An exponent outside the box raises
+        ShapeMismatch: its length here, its entries when a stage reads them.
 
         Stage i turns a table {(e_i, ..., e_m): row over the points of the
         first i - 1 coordinates} into one keyed by (e_{i+1}, ..., e_m), each
@@ -155,7 +156,10 @@ class CartesianGrid:
         value repeats over tail = d_{t+1}...d_m points (all kept ones, if t = 0).
         """
         kron, add_rows = self.field.kron, self.field.add_rows
-        n, d1 = self.shape.n, self.shape.d[0]
+        n, d1, m = self.shape.n, self.shape.d[0], len(self._cols)
+        for e in terms:
+            if len(e) != m:
+                raise ShapeMismatch(f"exponent {e!r} has {len(e)} coordinates, the grid {m}")
         head = d1 if count is None else min(d1, -(-count * d1 // n))  # values of x_1 kept
         cut = head < d1
         rows = {e: (c,) for e, c in terms.items()}

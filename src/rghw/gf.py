@@ -71,13 +71,13 @@ def _prime_power(q: int) -> tuple[int, int]:
     return p, e
 
 
-def _int_to_poly(t: int, p: int, e: int) -> list[int]:
-    """Base-p digits of t, low coefficient first, padded to length e."""
-    digits = []
-    for _ in range(e):
-        digits.append(t % p)
-        t //= p
-    return digits
+def digits(t: int, base: int, length: int) -> list[int]:
+    """Base-`base` digits of t, low digit first, padded to `length`."""
+    out = []
+    for _ in range(length):
+        out.append(t % base)
+        t //= base
+    return out
 
 
 def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
@@ -99,7 +99,7 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     e = len(f) - 1
     for deg in range(1, e // 2 + 1):
         for t in range(p**deg):
-            den = _int_to_poly(t, p, deg) + [1]
+            den = digits(t, p, deg) + [1]
             if not _poly_mod(f, den, p):
                 return False
     return True
@@ -108,7 +108,7 @@ def _is_irreducible(f: list[int], p: int) -> bool:
 def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     """Coefficients (low first, monic leading 1 included) of the modulus."""
     for t in range(p**e):
-        f = _int_to_poly(t, p, e) + [1]
+        f = digits(t, p, e) + [1]
         if _is_irreducible(f, p):
             return tuple(f)
     raise AssertionError(f"no irreducible of degree {e} over GF({p})")  # unreachable
@@ -117,8 +117,8 @@ def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
 def _mul_digits(a: int, b: int, p: int, e: int, modulus: tuple[int, ...]) -> int:
     """Schoolbook product of two encodings; only used to build the tables."""
     prod = [0] * (2 * e - 1)
-    for i, x in enumerate(_int_to_poly(a, p, e)):
-        for j, y in enumerate(_int_to_poly(b, p, e)):
+    for i, x in enumerate(digits(a, p, e)):
+        for j, y in enumerate(digits(b, p, e)):
             prod[i + j] = (prod[i + j] + x * y) % p
     rem = _poly_mod(prod, list(modulus), p) if modulus else prod  # e = 1: constants
     return sum(c * p**i for i, c in enumerate(rem))

@@ -34,7 +34,7 @@ with each other; `verify` runs both, and `hierarchy --oracle` the first:
 
 A third route, which maximizes common grid zeros over families of
 monic polynomials directly, is a test reference in tests/brute.py, built
-on `_coset_masks` here and the base-q digits of `gf._int_to_poly`.
+on `_coset_masks` here and `gf.digits`.
 
 All enumeration is deterministic (fixed candidate orders, ties broken by
 ascending coefficient encoding), so two runs return identical witnesses.
@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 from .codes import CartesianCode
 from .errors import BudgetExceeded, InvalidBudget, InvalidNesting, RankOutOfRange
-from .gf import PackedVectors, _int_to_poly
+from .gf import PackedVectors, digits
 
 DEFAULT_MAX_STATES = 10**8
 DEFAULT_TIME_CAP = 300
@@ -205,7 +205,7 @@ class SupportOracle:
         field = self.c1.grid.field
         vec = self.wrows[p]
         gens = self.wrows[p + 1 :] + self.g2rows
-        for c, g in zip(_int_to_poly(enc, field.q, len(gens)), gens):
+        for c, g in zip(digits(enc, field.q, len(gens)), gens):
             if c:
                 vec = field.add_rows(vec, g, c)
         return tuple(vec)

@@ -10,7 +10,7 @@ the slice helpers, which the shadow-compression tests use, are built on
 the package's own `shadow`, `iter_band` and `nth_band_element`; and the
 families route at the end, the reference that checks the common-zeros
 statement directly, is built on the package's coset enumeration
-(`rghw.oracle._coset_masks`), digit expansion (`rghw.gf._int_to_poly`)
+(`rghw.oracle._coset_masks`), digit expansion (`rghw.gf.digits`)
 and budget.
 """
 
@@ -22,7 +22,7 @@ from math import comb, prod
 
 from rghw.boxcomb import DegreeBand, iter_band, nth_band_element, shadow
 from rghw.errors import RankOutOfRange, ShapeMismatch
-from rghw.gf import PackedVectors, _int_to_poly
+from rghw.gf import PackedVectors, digits
 from rghw.oracle import OracleBudget, OracleResult, _coset_masks, _Meter
 from rghw.polynomials import MultiPoly
 
@@ -342,7 +342,7 @@ def oracle_max_zeros_families(
     for idx, enc in best_pick:
         t = members[idx]
         lower = glex[: glex_rank[t]]
-        terms = {t: 1, **dict(zip(lower, _int_to_poly(enc, field.q, len(lower))))}
+        terms = {t: 1, **dict(zip(lower, digits(enc, field.q, len(lower))))}
         witnesses.append(MultiPoly(field, shape, terms))
     return OracleResult(
         value=best,

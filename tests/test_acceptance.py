@@ -17,8 +17,12 @@ from brute import dominates, lex_prefix_of_slice, shadow_slice
 from rghw.boxcomb import (
     BoxShape,
     DegreeBand,
+    WeightQuery,
     band_size,
+    hierarchy,
     iter_band,
+    iter_hierarchy,
+    rghw,
     shadow,
 )
 from rghw.cli import run_footprint_sweep, run_verify_grid
@@ -26,7 +30,6 @@ from rghw.codes import build_code, build_grid
 from rghw.gf import Field
 from rghw.oracle import oracle_rghw_support, oracle_rghw_window
 from rghw.polynomials import common_zero_count, maximal_family
-from rghw.weights import WeightQuery, hierarchy, iter_hierarchy, rghw
 
 ACCEPTANCE_QS = (2, 3, 4)
 ACCEPTANCE_SHAPES = ((2,), (3,), (2, 2), (2, 3), (3, 3), (2, 2, 2))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import rghw
-from rghw import cli, codes, weights
+from rghw import boxcomb, cli, codes
 from rghw.cli import main
 
 pytestmark = pytest.mark.usefixtures("capsys")
@@ -177,7 +177,7 @@ def test_pinned_verify_queries_cover_empty_cells_and_skips(capsys):
 @pytest.mark.parametrize("fmt", ["text", "csv"])
 def test_hierarchy_rows_are_printed_as_they_are_yielded(capsys, monkeypatch, fmt):
     def two_rows_then_fail(shape, band):
-        yield from itertools.islice(weights.iter_hierarchy(shape, band), 2)
+        yield from itertools.islice(boxcomb.iter_hierarchy(shape, band), 2)
         raise RuntimeError("walk stopped")
 
     monkeypatch.setattr(cli, "iter_hierarchy", two_rows_then_fail)
@@ -291,7 +291,7 @@ def test_verify_window_bound_zero_turns_the_route_off(capsys):
 
 def test_verify_corrupt_formula_fails(capsys, monkeypatch):
     def off_by_one(shape, band):
-        for record in weights.iter_hierarchy(shape, band):
+        for record in boxcomb.iter_hierarchy(shape, band):
             yield record._replace(m_r=record.m_r + 1)
 
     monkeypatch.setattr(cli, "iter_hierarchy", off_by_one)
@@ -300,6 +300,23 @@ def test_verify_corrupt_formula_fails(capsys, monkeypatch):
     *rows, summary = out.splitlines()
     assert rows and all(row.endswith(" MISMATCH") for row in rows)
     assert summary == f"summary: 0 OK, {len(rows)} MISMATCH, 0 SKIPPED"
+
+
+def test_verify_footprint_violation_fails(capsys, monkeypatch):
+    # an empty footprint bounds common zeros by 0, so each family with a
+    # common zero is a violation, and each is counted as a MISMATCH
+    monkeypatch.setattr(cli, "footprint", lambda shape, points: set())
+    code, out, err = run_cli(
+        capsys, "verify", "--q-list", "2", "--shapes", "2,2", "--footprint", "20"
+    )
+    assert code == 1
+    *rows, line, summary = out.splitlines()
+    assert rows and all(row.endswith(" OK") for row in rows)
+    prefix = "footprint q=2 families=20 violations="
+    assert line.startswith(prefix)
+    violations = int(line[len(prefix):])
+    assert violations > 0
+    assert summary == f"summary: {len(rows)} OK, {violations} MISMATCH, 0 SKIPPED"
 
 
 def test_verify_budget_skips_but_passes(capsys):
@@ -473,13 +490,17 @@ VERIFY_CSV_ARGS = ("verify", "--q-list", "2", "--shapes", "2,2", "--format", "cs
 VERIFY_CSV_HEADER = "q,sizes,u1,u2,r,formula,support,window,attainment,status"
 
 
-def run_entry_point(*argv):
-    """Run argv with the checkout this test process imported first on PYTHONPATH,
-    so that no other installed copy of rghw can answer in its place."""
+def checkout_env():
+    """The environment with the checkout this test process imported first on
+    PYTHONPATH, so that no other installed copy of rghw can answer in its place."""
     env = dict(os.environ)
     src = str(Path(rghw.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(argv, capture_output=True, text=True, env=env)
+    return env
+
+
+def run_entry_point(*argv):
+    return subprocess.run(argv, capture_output=True, text=True, env=checkout_env())
 
 
 def declared_console_script():
@@ -519,3 +540,16 @@ def test_installed_console_script():
     result = run_entry_point(shutil.which("rghw"), *VERIFY_CSV_ARGS)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[0] == VERIFY_CSV_HEADER
+
+
+def test_closed_stdout_exits_141_with_nothing_on_stderr():
+    # the reader leaves after one line, as `| head -1` does, while a
+    # million rows still stream; the shell reports 128 + SIGPIPE for that
+    argv = [sys.executable, "-m", "rghw", "hierarchy", "--q", "1009", "--sizes", "1000,1000",
+            "--u1", "1998", "--u2", "-1", "--format", "csv"]
+    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    with subprocess.Popen(argv, env=checkout_env(), **pipes) as proc:
+        assert proc.stdout.readline() == b"r,a_r,s,M_r,max_zeros,oracle\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        assert proc.stderr.read() == b""

@@ -145,6 +145,21 @@ def test_monomial_values_examples():
         grid.monomial_values((2, 0))
 
 
+@pytest.mark.parametrize("exp", [(1, 0, 1), (1,), (-1, 0), (1, 5)])
+def test_evaluate_rejects_exponents_outside_the_box(exp):
+    # a wrong length or a side's power past d_i - 1 (or below 0) is no
+    # monomial of the box: neither x_1's values nor x_2^5 are an answer
+    grid = CartesianGrid(F4, (2, 3))
+    for count in (None, 3):
+        with pytest.raises(ShapeMismatch):
+            grid.evaluate({exp: 1}, count)
+        with pytest.raises(ShapeMismatch):
+            grid.evaluate({(0, 1): 1, exp: 1}, count)
+    with pytest.raises(ShapeMismatch):
+        grid.monomial_values(exp)
+    assert grid.evaluate({(1, 2): 1}) == (0, 0, 0, 0, 1, 3)  # nothing bad was kept
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 101, 256])
 def test_evaluate_prefix_matches_full_evaluation(q):
     # a count keeps the points before it, rounded up to whole values of the

@@ -8,7 +8,7 @@ import pytest
 
 import brute
 from brute import oracle_max_zeros_families
-from rghw.boxcomb import BoxShape, DegreeBand, band_size, iter_band
+from rghw.boxcomb import BoxShape, DegreeBand, WeightQuery, band_size, iter_band, rghw
 from rghw.cli import DEFAULT_GRID_QS, DEFAULT_GRID_SHAPES
 from rghw.codes import build_code, build_grid
 from rghw.errors import BudgetExceeded, InvalidBudget, InvalidNesting, RankOutOfRange
@@ -22,7 +22,6 @@ from rghw.oracle import (
     oracle_rghw_window,
 )
 from rghw.polynomials import common_zero_count
-from rghw.weights import WeightQuery, rghw
 from test_gf import PRIME_POWERS
 
 F2 = Field(2)

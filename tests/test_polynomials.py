@@ -7,7 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
-from rghw.boxcomb import BoxShape, DegreeBand, band_size, footprint, iter_band, nth_band_element
+from rghw.boxcomb import (
+    BoxShape,
+    DegreeBand,
+    WeightQuery,
+    band_size,
+    footprint,
+    iter_band,
+    nth_band_element,
+    rghw,
+)
 from rghw.codes import build_grid
 from rghw.errors import EmptyFamily, RankOutOfRange, ShapeMismatch
 from rghw.gf import Field
@@ -19,7 +28,6 @@ from rghw.polynomials import (
     maximal_family,
     random_poly,
 )
-from rghw.weights import WeightQuery, rghw
 
 F2 = Field(2)
 F3 = Field(3)

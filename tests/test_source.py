@@ -1,5 +1,5 @@
 """Static checks on the package source: no dead helpers, no unused
-imports, no private attributes read across objects, no new module state,
+imports, no private names read across objects or modules, no new module state,
 a light import, no hand-made immutability, and a cap on the package's
 total lines.
 
@@ -10,7 +10,9 @@ imported name that its module never uses.  Dunder methods
 are called by Python itself and are exempt, as are the re-exports of
 `__init__.py`.  A name that appears only in a string annotation counts
 as used.  An underscore attribute is read only through `self` or `cls`,
-so that, for one, no module but `gf.py` touches a Field's tables.  No
+so that, for one, no module but `gf.py` touches a Field's tables, and
+no module imports an underscore name from another (`from .x import _y`),
+so a private helper's contract stays inside the module that states it.  No
 function binds a module global but `oracle_rghw_support`, which keeps
 the `SupportOracle` of the latest pair asked through it in `_held`; the
 CLI holds its own objects and does not call it.
@@ -27,9 +29,9 @@ from pathlib import Path
 import rghw
 
 PACKAGE = Path(rghw.__file__).parent
-# lines of src/rghw/*.py once BoxShape became a NamedTuple of the sorted
-# sides; the package may shrink below it but not grow past it
-SOURCE_LINE_CAP = 1916
+# lines of src/rghw/*.py once the weight formula joined boxcomb.py; the
+# package may shrink below it but not grow past it
+SOURCE_LINE_CAP = 1908
 
 
 def parsed_modules() -> dict:
@@ -154,6 +156,21 @@ def foreign_private_reads(modules: dict) -> list:
             own = isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")
             if not (dunder or own or node.attr in NAMEDTUPLE_API):
                 found.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+    return found
+
+
+def private_imports(modules: dict) -> list:
+    """Underscore names, dunders aside, that a module imports from a module
+    of the package."""
+    found = []
+    for name, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found += [
+                    f"{name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.endswith("__")
+                ]
     return found
 
 
@@ -300,6 +317,10 @@ def test_no_private_attributes_read_across_objects():
     assert foreign_private_reads(parsed_modules()) == []
 
 
+def test_no_private_names_imported_across_modules():
+    assert private_imports(parsed_modules()) == []
+
+
 def test_no_new_module_state():
     assert global_statements(parsed_modules()) == []
 
@@ -351,6 +372,13 @@ def test_checks_catch_what_they_look_for():
         "    return field._log, self._log, rec._replace(), field.__class__, g()._exp\n"
     )
     assert foreign_private_reads({"m.py": ast.parse(private)}) == ["m.py:2 field._log", "m.py:2 g()._exp"]
+    imports = (
+        "from .boxcomb import BoxShape, _unchecked\n"
+        "from . import _version, __version__\n"
+        "from ._private import helper\n"
+        "from random import _inst\n"
+    )
+    assert private_imports({"m.py": ast.parse(imports)}) == ["m.py:1 _unchecked", "m.py:2 _version"]
     defaults = (
         "class Grid:\n"
         "    def __init__(self, sizes, policy='first', spare=None):\n        self.k = 0\n"

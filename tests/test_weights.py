@@ -6,15 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rghw import boxcomb
-from rghw.boxcomb import BoxShape, DegreeBand, band_size, lex_rank_in_leq
-from rghw.errors import InvalidBand, RankOutOfRange
-from rghw.weights import (
+from rghw.boxcomb import (
+    BoxShape,
+    DegreeBand,
     WeightQuery,
     WeightRecord,
+    band_size,
     hierarchy,
     iter_hierarchy,
+    lex_rank_in_leq,
     rghw,
 )
+from rghw.errors import InvalidBand, RankOutOfRange
 
 
 def weights_of(sizes, u2, u1):
