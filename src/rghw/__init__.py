@@ -27,22 +27,7 @@ from .codes import (
     build_code,
     build_grid,
 )
-from .errors import (
-    BudgetExceeded,
-    DegreeOutOfRange,
-    DegreeTooHigh,
-    DivisionByZero,
-    DuplicateElements,
-    EmptyFamily,
-    InvalidBand,
-    InvalidBudget,
-    InvalidNesting,
-    NotAPrimePower,
-    RankOutOfRange,
-    RghwError,
-    ShapeMismatch,
-    SubsetTooLarge,
-)
+from .errors import BudgetExceeded, RghwError
 from .gf import Field
 from .oracle import (
     OracleBudget,

@@ -41,12 +41,7 @@ from functools import lru_cache
 from math import prod
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import (
-    DegreeTooHigh,
-    InvalidBand,
-    RankOutOfRange,
-    ShapeMismatch,
-)
+from .errors import RghwError
 
 BoxPoint = tuple  # int tuples; validated against a BoxShape at API boundaries
 
@@ -60,10 +55,10 @@ class BoxShape(NamedTuple("BoxShape", [("d", tuple)])):
     def __new__(cls, sizes: Iterable[int]):
         sizes = tuple(sizes)
         if not sizes:
-            raise ShapeMismatch("a box needs at least one coordinate")
+            raise RghwError("a box needs at least one coordinate")
         for s in sizes:
-            if not isinstance(s, int) or s < 1:
-                raise ShapeMismatch(f"box side {s!r} is not a positive int")
+            if type(s) is not int or s < 1:
+                raise RghwError(f"box side {s!r} is not a positive int")
         return super().__new__(cls, tuple(sorted(sizes)))
 
     @property
@@ -83,7 +78,7 @@ class BoxShape(NamedTuple("BoxShape", [("d", tuple)])):
 
     def require_point(self, a: BoxPoint) -> None:
         if not self.contains(a):
-            raise ShapeMismatch(f"point {a!r} outside box {self.d}")
+            raise RghwError(f"point {a!r} outside box {self.d}")
 
     def encode(self, a: BoxPoint) -> int:
         """Mixed-radix encoding sum(a_i * prod(d_j, j>i)); the same sum the
@@ -108,16 +103,18 @@ class DegreeBand(NamedTuple("DegreeBand", [("u2", int), ("u1", int)])):
     _make = classmethod(lambda cls, fields: cls(*fields))  # checked; _replace calls it
 
     def __new__(cls, u2: int, u1: int):
+        if type(u2) is not int or type(u1) is not int:
+            raise RghwError(f"band bounds u2 = {u2!r}, u1 = {u1!r} are not both ints")
         if u2 < -1:
-            raise InvalidBand(f"u2 = {u2} < -1")
+            raise RghwError(f"u2 = {u2} < -1")
         if u2 >= u1:
-            raise InvalidBand(f"empty band: u2 = {u2} >= u1 = {u1}")
+            raise RghwError(f"empty band: u2 = {u2} >= u1 = {u1}")
         return super().__new__(cls, u2, u1)
 
 
 def check_band(shape: BoxShape, band: DegreeBand) -> None:
     if band.u1 > shape.k:
-        raise InvalidBand(f"u1 = {band.u1} > k = {shape.k} for box {shape.d}")
+        raise RghwError(f"u1 = {band.u1} > k = {shape.k} for box {shape.d}")
 
 
 # -- degree counting ------------------------------------------------------------
@@ -163,10 +160,10 @@ def band_size(shape: BoxShape, band: DegreeBand) -> int:
 
 
 def check_rank(shape: BoxShape, band: DegreeBand, r: int) -> None:
-    """Raises RankOutOfRange unless 1 <= r <= band_size(shape, band)."""
+    """Raises RghwError unless r is an int in 1..band_size(shape, band)."""
     size = band_size(shape, band)
-    if not 1 <= r <= size:
-        raise RankOutOfRange(f"r = {r} outside 1..{size} for band {band} in box {shape.d}")
+    if type(r) is not int or not 1 <= r <= size:
+        raise RghwError(f"r = {r!r} outside 1..{size} for band {band} in box {shape.d}")
 
 
 def iter_band(shape: BoxShape, band: DegreeBand) -> Iterator[BoxPoint]:
@@ -232,7 +229,7 @@ def lex_rank_in_leq(shape: BoxShape, u1: int, a: BoxPoint) -> int:
     exceed it at digit i are two lookups in the table after digit i."""
     shape.require_point(a)
     if sum(a) > u1:
-        raise DegreeTooHigh(f"deg{a!r} = {sum(a)} > u1 = {u1}")
+        raise RghwError(f"deg{a!r} = {sum(a)} > u1 = {u1}")
     return _rank_in_leq(shape.d, u1, a)
 
 

@@ -42,7 +42,7 @@ def parse_ints(text: str, what: str) -> list[int]:
     try:
         return [int(piece) for piece in text.split(",")] if text else []
     except ValueError:
-        raise ValueError(f"cannot parse {what} from {text!r}") from None
+        raise RghwError(f"cannot parse {what} from {text!r}") from None
 
 
 def _budget(args) -> OracleBudget:
@@ -54,7 +54,7 @@ def _code_query(args):
     then field, sizes, subsets and band, in this order; a reordering of the
     sizes is warned about on stderr."""
     if args.subsets is not None and args.policy:
-        raise ValueError("--policy picks the subsets, so it cannot be given with --subsets")
+        raise RghwError("--policy picks the subsets, so it cannot be given with --subsets")
     field = Field(args.q)
     sizes = parse_ints(args.sizes, "sizes")
     subsets = None
@@ -259,9 +259,9 @@ def cmd_verify(args) -> int:
     boxes = (BoxShape(parse_ints(piece, "sizes")) for piece in args.shapes.split(";"))
     shapes = list(dict.fromkeys(box.d for box in boxes))  # each box once, sides sorted
     if args.footprint < 0:
-        raise ValueError(f"footprint family count {args.footprint} is negative")
+        raise RghwError(f"footprint family count {args.footprint} is negative")
     if args.window_max_n < 0:  # 0 turns the window route off
-        raise ValueError(f"window size bound {args.window_max_n} is negative")
+        raise RghwError(f"window size bound {args.window_max_n} is negative")
     rows, summary = run_verify_grid(
         qs, shapes, max_n=args.max_n, window_max_n=args.window_max_n, budget=_budget(args)
     )
@@ -275,7 +275,7 @@ def cmd_verify(args) -> int:
             if violations:
                 summary["mismatch"] += len(violations)
     if not rows and not any(line["families"] > 0 for line in footprint_lines):
-        raise ValueError("verify checked no tuple and no footprint family")
+        raise RghwError("verify checked no tuple and no footprint family")
     if args.format == "json":
         obj = {"grid": rows, "footprint": footprint_lines, "summary": summary}
         print(json.dumps(obj, indent=2))
@@ -358,7 +358,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader left (`| head`); 128 + SIGPIPE, as the shell reports
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the last flush
         return 141
-    except (RghwError, ValueError) as exc:
+    except RghwError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, BudgetExceeded) else 2
     except Exception as exc:

@@ -35,12 +35,7 @@ from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 from .boxcomb import BoxShape, DegreeBand, iter_band
-from .errors import (
-    DegreeOutOfRange,
-    DuplicateElements,
-    ShapeMismatch,
-    SubsetTooLarge,
-)
+from .errors import RghwError
 from .gf import Field
 
 
@@ -83,7 +78,7 @@ class _Powers(dict):
 
     def __missing__(self, e):
         if not 0 <= e < len(self.subset):
-            raise ShapeMismatch(f"exponent {e!r} outside 0..{len(self.subset) - 1} of a grid side")
+            raise RghwError(f"exponent {e!r} outside 0..{len(self.subset) - 1} of a grid side")
         column = self[e] = self.field.powers(self.subset, e)
         return column
 
@@ -110,25 +105,25 @@ class CartesianGrid:
         order = tuple(sorted(range(len(sizes)), key=sizes.__getitem__))
         q = field.q
         if shape.d[-1] > q:
-            raise SubsetTooLarge(f"d_m = {shape.d[-1]} > q = {q}")
+            raise RghwError(f"d_m = {shape.d[-1]} > q = {q}")
         if subsets is not None:
             if len(subsets) != shape.m:
-                raise ShapeMismatch(f"{len(subsets)} subsets for an m = {shape.m} box")
+                raise RghwError(f"{len(subsets)} subsets for an m = {shape.m} box")
             for i, (sub, size) in enumerate(zip(subsets, sizes)):
                 if len(sub) != size:
-                    raise ShapeMismatch(f"subset {i} has size {len(sub)}, box side is {size}")
+                    raise RghwError(f"subset {i} has size {len(sub)}, box side is {size}")
                 if len(set(sub)) != len(sub):
-                    raise DuplicateElements(f"subset {i} repeats elements: {tuple(sub)}")
+                    raise RghwError(f"subset {i} repeats elements: {tuple(sub)}")
                 for g in sub:
                     if not 0 <= g < q:
-                        raise ShapeMismatch(f"element {g!r} is not a GF({q}) encoding")
+                        raise RghwError(f"element {g!r} is not a GF({q}) encoding")
             subsets = [subsets[i] for i in order]  # as the sizes, ascending
         elif policy == "first":
             subsets = [range(d) for d in shape.d]
         elif policy == "last":
             subsets = [range(q - d, q) for d in shape.d]
         else:
-            raise ShapeMismatch(f"unknown subset policy {policy!r}")
+            raise RghwError(f"unknown subset policy {policy!r}")
         self.field = field
         self.shape = shape
         self.permutation = order
@@ -143,7 +138,7 @@ class CartesianGrid:
         """Values of sum c_e x^e over `terms` = {e: c} at the grid points
         before `count` (all n without it), rounded up to whole values of the
         first coordinate, in point order.  An exponent outside the box raises
-        ShapeMismatch: its length here, its entries when a stage reads them.
+        RghwError: its length here, its entries when a stage reads them.
 
         Stage i turns a table {(e_i, ..., e_m): row over the points of the
         first i - 1 coordinates} into one keyed by (e_{i+1}, ..., e_m), each
@@ -159,7 +154,7 @@ class CartesianGrid:
         n, d1, m = self.shape.n, self.shape.d[0], len(self._cols)
         for e in terms:
             if len(e) != m:
-                raise ShapeMismatch(f"exponent {e!r} has {len(e)} coordinates, the grid {m}")
+                raise RghwError(f"exponent {e!r} has {len(e)} coordinates, the grid {m}")
         head = d1 if count is None else min(d1, -(-count * d1 // n))  # values of x_1 kept
         cut = head < d1
         rows = {e: (c,) for e, c in terms.items()}
@@ -191,7 +186,7 @@ class CartesianCode:
 
     def __init__(self, grid: CartesianGrid, d: int):
         if not 0 <= d <= grid.shape.k:
-            raise DegreeOutOfRange(f"degree bound {d} outside 0..{grid.shape.k}")
+            raise RghwError(f"degree bound {d} outside 0..{grid.shape.k}")
         self.grid = grid
         self.d = d
         self.basis = tuple(iter_band(grid.shape, DegreeBand(-1, d)))

@@ -42,7 +42,7 @@ from __future__ import annotations
 from itertools import repeat
 from operator import or_, rshift
 
-from .errors import DivisionByZero, NotAPrimePower
+from .errors import RghwError
 
 _MAX_Q = 1 << 16
 
@@ -59,7 +59,7 @@ def _smallest_prime_factor(n: int) -> int:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    """Return (p, e) with q = p^e, or raise NotAPrimePower."""
+    """Return (p, e) with q = p^e, or raise RghwError."""
     p = _smallest_prime_factor(q)
     e = 0
     m = q
@@ -67,7 +67,7 @@ def _prime_power(q: int) -> tuple[int, int]:
         m //= p
         e += 1
     if m != 1:
-        raise NotAPrimePower(f"q = {q} is not a prime power (divisible by {p} and {m})")
+        raise RghwError(f"q = {q} is not a prime power (divisible by {p} and {m})")
     return p, e
 
 
@@ -237,7 +237,7 @@ class Field:
 
     def __init__(self, q: int):
         if not isinstance(q, int) or q < 2 or q > _MAX_Q:
-            raise NotAPrimePower(f"q = {q!r} outside supported range 2..{_MAX_Q}")
+            raise RghwError(f"q = {q!r} outside supported range 2..{_MAX_Q}")
         self.q = q
         self.p, self.e = _prime_power(q)
         self.modulus = _smallest_irreducible(self.p, self.e) if self.e > 1 else ()
@@ -271,7 +271,7 @@ class Field:
 
     def inv(self, a: int) -> int:
         if a == 0:
-            raise DivisionByZero(f"inverse of 0 in GF({self.q})")
+            raise RghwError(f"inverse of 0 in GF({self.q})")
         return self._exp[self.q - 1 - self._log[a]]
 
     # -- whole rows ------------------------------------------------------------

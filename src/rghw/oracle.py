@@ -51,7 +51,7 @@ from operator import lshift, or_
 from typing import NamedTuple
 
 from .codes import CartesianCode
-from .errors import BudgetExceeded, InvalidBudget, InvalidNesting, RankOutOfRange
+from .errors import BudgetExceeded, RghwError
 from .gf import PackedVectors, digits
 
 DEFAULT_MAX_STATES = 10**8
@@ -65,10 +65,12 @@ class OracleBudget(NamedTuple("OracleBudget", [("max_states", int), ("time_cap",
     _make = classmethod(lambda cls, fields: cls(*fields))  # checked; _replace calls it
 
     def __new__(cls, max_states: int = DEFAULT_MAX_STATES, time_cap: int = DEFAULT_TIME_CAP):
+        if type(max_states) is not int or type(time_cap) is not int:
+            raise RghwError(f"budget {max_states!r} states, {time_cap!r} s is not two ints")
         if max_states < 1:
-            raise InvalidBudget(f"state budget {max_states} is below 1")
+            raise RghwError(f"state budget {max_states} is below 1")
         if time_cap < 0:
-            raise InvalidBudget(f"time budget {time_cap} s is negative")
+            raise RghwError(f"time budget {time_cap} s is negative")
         return super().__new__(cls, max_states, time_cap)
 
 
@@ -109,12 +111,12 @@ def _check_pair(c1: CartesianCode, c2: CartesianCode | None, r: int) -> None:
     """C2 (None: the zero code) must lie in C1 on one grid, and r in 1..ell."""
     if c2 is not None:
         if c2.grid.field != c1.grid.field or c2.grid.subsets != c1.grid.subsets:
-            raise InvalidNesting("C1 and C2 live on different grids")
+            raise RghwError("C1 and C2 live on different grids")
         if c2.d >= c1.d:
-            raise InvalidNesting(f"u2 = {c2.d} >= u1 = {c1.d}")
+            raise RghwError(f"u2 = {c2.d} >= u1 = {c1.d}")
     ell = c1.dim - (c2.dim if c2 is not None else 0)
-    if not 1 <= r <= ell:
-        raise RankOutOfRange(f"r = {r} outside 1..{ell}")
+    if type(r) is not int or not 1 <= r <= ell:
+        raise RghwError(f"r = {r!r} outside 1..{ell}")
 
 
 def _coset_masks(field, packing: PackedVectors, base, gens, meter: _Meter) -> list:

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 from .boxcomb import BoxShape, DegreeBand, check_rank, iter_band
 from .codes import CartesianGrid
-from .errors import EmptyFamily, ShapeMismatch
+from .errors import RghwError
 from .gf import Field
 
 
@@ -39,9 +39,9 @@ class MultiPoly:
         for exp, c in terms.items():
             exp = tuple(exp)
             if not shape.contains(exp):
-                raise ShapeMismatch(f"exponent {exp!r} outside box {shape.d}")
+                raise RghwError(f"exponent {exp!r} outside box {shape.d}")
             if not 0 <= c < field.q:
-                raise ShapeMismatch(f"coefficient {c!r} is not a canonical GF({field.q}) encoding")
+                raise RghwError(f"coefficient {c!r} is not a canonical GF({field.q}) encoding")
             if c:
                 clean[exp] = c
         self.field = field
@@ -119,9 +119,9 @@ def common_zero_count(fs: Sequence[MultiPoly], grid: CartesianGrid) -> int:
     each member is evaluated only up to the last common zero of those before
     it, and only over the coordinates up to the last one it uses (`evaluate`)."""
     if not fs:
-        raise EmptyFamily("common_zero_count needs at least one polynomial")
+        raise RghwError("common_zero_count needs at least one polynomial")
     if any(f.shape != grid.shape or f.field != grid.field for f in fs):
-        raise ShapeMismatch("polynomial and grid disagree on box shape or field")
+        raise RghwError("polynomial and grid disagree on box shape or field")
     alive = range(grid.shape.n)
     for f in fs:
         values = grid.evaluate(f.terms, alive[-1] + 1)

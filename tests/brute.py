@@ -21,7 +21,7 @@ from collections import Counter
 from math import comb, prod
 
 from rghw.boxcomb import DegreeBand, iter_band, nth_band_element, shadow
-from rghw.errors import RankOutOfRange, ShapeMismatch
+from rghw.errors import RghwError
 from rghw.gf import PackedVectors, digits
 from rghw.oracle import OracleBudget, OracleResult, _coset_masks, _Meter
 from rghw.polynomials import MultiPoly
@@ -222,14 +222,10 @@ def field_pow(field, a, n):
 # -- slice helpers ------------------------------------------------------------------
 
 
-class CountOutOfRange(ValueError):
-    """Requested prefix length exceeds the slice size."""
-
-
 def cmp_lex(a, b):
     """-1, 0 or 1 as a is lexicographically below, equal to, or above b."""
     if len(a) != len(b):
-        raise ShapeMismatch(f"points {a!r} and {b!r} have different arity")
+        raise RghwError(f"points {a!r} and {b!r} have different arity")
     if a == b:
         return 0
     return -1 if a < b else 1
@@ -251,7 +247,7 @@ def lex_prefix_of_slice(shape, u, count):
     """First `count` members of the degree-u slice, descending lexicographic."""
     members = list(iter_band(shape, DegreeBand(u - 1, u)))
     if count < 0 or count > len(members):
-        raise CountOutOfRange(f"count = {count} outside 0..{len(members)} for slice deg = {u}")
+        raise RghwError(f"count = {count} outside 0..{len(members)} for slice deg = {u}")
     return members[:count]
 
 
@@ -292,7 +288,7 @@ def oracle_max_zeros_families(
     shape, field = grid.shape, grid.field
     members = list(iter_band(shape, band))
     if not 1 <= r <= len(members):
-        raise RankOutOfRange(f"r = {r} outside 1..{len(members)}")
+        raise RghwError(f"r = {r} outside 1..{len(members)}")
     meter = _Meter(budget or OracleBudget())
     glex = [
         e for t in range(shape.k + 1)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import brute
 from brute import (
-    CountOutOfRange,
     cmp_lex,
     footprint_slice,
     lex_prefix_of_slice,
@@ -26,12 +25,7 @@ from rghw.boxcomb import (
     shadow,
 )
 from rghw.codes import CartesianGrid
-from rghw.errors import (
-    DegreeTooHigh,
-    InvalidBand,
-    RankOutOfRange,
-    ShapeMismatch,
-)
+from rghw.errors import RghwError
 from rghw.gf import Field
 
 F4 = Field(4)
@@ -79,7 +73,7 @@ def test_shape_rejects_bad_sizes():
         (2, 2.5): "box side 2.5 is not a positive int",
     }
     for bad, message in messages.items():
-        with pytest.raises(ShapeMismatch) as raised:
+        with pytest.raises(RghwError) as raised:
             BoxShape(bad)
         assert str(raised.value) == message
 
@@ -89,9 +83,9 @@ def test_shape_replace_and_make_sort_and_check_as_the_constructor():
     s = BoxShape((2, 3))
     assert s._replace(d=(3, 2)).d == (2, 3)
     assert BoxShape._make([(4, 2, 3)]).d == (2, 3, 4)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(RghwError, match="box side 0 is not a positive int"):
         s._replace(d=(0, 2))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(RghwError, match="a box needs at least one coordinate"):
         BoxShape._make([()])
 
 
@@ -109,7 +103,7 @@ def test_contains_and_require():
     assert s.contains((1, 2))
     assert not s.contains((2, 0))
     assert not s.contains((0, 0, 0))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(RghwError, match=r"point \(0, 3\) outside box"):
         s.require_point((0, 3))
 
 
@@ -121,7 +115,7 @@ def test_cmp_lex_and_partial():
     assert brute.dominates((1, 0), (1, 1)) and not brute.dominates((1, 1), (1, 0))
     assert brute.dominates((0, 1), (1, 1))
     assert brute.dominates((2, 2), (2, 2))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(RghwError, match="have different arity"):
         cmp_lex((1, 0), (1, 0, 0))
 
 
@@ -141,13 +135,13 @@ def test_partial_order_refines_degree_then_lex(shape):
 
 
 def test_band_validation():
-    with pytest.raises(InvalidBand):
+    with pytest.raises(RghwError, match="u2 = -2 < -1"):
         DegreeBand(-2, 1)
-    with pytest.raises(InvalidBand):
+    with pytest.raises(RghwError, match="empty band: u2 = 1 >= u1 = 1"):
         DegreeBand(1, 1)
-    with pytest.raises(InvalidBand):
+    with pytest.raises(RghwError, match="empty band: u2 = 3 >= u1 = 1"):
         DegreeBand(3, 1)
-    with pytest.raises(InvalidBand):
+    with pytest.raises(RghwError, match="u1 = 3 > k = 2 for box"):
         check_band(BoxShape((2, 2)), DegreeBand(0, 3))
     check_band(BoxShape((2, 2)), DegreeBand(-1, 2))
 
@@ -155,11 +149,11 @@ def test_band_validation():
 def test_band_replace_and_make_check_as_the_constructor():
     band = DegreeBand(0, 2)
     assert band._replace(u2=-1) == DegreeBand(-1, 2)
-    with pytest.raises(InvalidBand):
+    with pytest.raises(RghwError, match="empty band: u2 = 0 >= u1 = 0"):
         band._replace(u1=0)
-    with pytest.raises(InvalidBand):
+    with pytest.raises(RghwError, match="u2 = -2 < -1"):
         band._replace(u2=-2)
-    with pytest.raises(InvalidBand):
+    with pytest.raises(RghwError, match="empty band: u2 = 3 >= u1 = 1"):
         DegreeBand._make((3, 1))
 
 
@@ -196,7 +190,7 @@ def test_band_walk_starts_at_once_on_huge_boxes():
     assert list(iter_band(shape, sliver)) == [
         nth_band_element(shape, sliver, r) for r in range(1, 8)
     ]
-    with pytest.raises(InvalidBand):
+    with pytest.raises(RghwError, match="u1 = 63245 > k = 63244 for box"):
         next(iter_band(shape, DegreeBand(0, shape.k + 1)))
 
 
@@ -206,9 +200,9 @@ def test_unranking_inverts_enumeration(shape):
         members = list(iter_band(shape, band))
         for r, a in enumerate(members, start=1):
             assert nth_band_element(shape, band, r) == a
-        with pytest.raises(RankOutOfRange):
+        with pytest.raises(RghwError, match=r"r = 0 outside 1\.\."):
             nth_band_element(shape, band, 0)
-        with pytest.raises(RankOutOfRange):
+        with pytest.raises(RghwError, match=rf"r = {len(members) + 1} outside 1\.\.{len(members)} "):
             nth_band_element(shape, band, len(members) + 1)
 
 
@@ -225,9 +219,9 @@ def test_lex_rank_frozen_example():
 
 
 def test_lex_rank_rejects_high_degree():
-    with pytest.raises(DegreeTooHigh):
+    with pytest.raises(RghwError, match=r"deg\(1, 1\) = 2 > u1 = 1"):
         lex_rank_in_leq(BoxShape((2, 3)), 1, (1, 1))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(RghwError, match=r"point \(0, 5\) outside box"):
         lex_rank_in_leq(BoxShape((2, 3)), 2, (0, 5))
 
 
@@ -261,7 +255,7 @@ def test_shadow_matches_brute_sampled_3x3():
 
 
 def test_shadow_rejects_outside_points():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(RghwError, match=r"point \(0, 2\) outside box"):
         shadow(BoxShape((2, 2)), [(0, 2)])
 
 
@@ -269,9 +263,9 @@ def test_lex_prefix_of_slice():
     assert lex_prefix_of_slice(BoxShape((3, 3)), 2, 2) == [(2, 0), (1, 1)]
     assert lex_prefix_of_slice(BoxShape((3, 3)), 0, 1) == [(0, 0)]
     assert lex_prefix_of_slice(BoxShape((3, 3)), 2, 0) == []
-    with pytest.raises(CountOutOfRange):
+    with pytest.raises(RghwError, match=r"count = 4 outside 0\.\.3"):
         lex_prefix_of_slice(BoxShape((3, 3)), 2, 4)
-    with pytest.raises(CountOutOfRange):
+    with pytest.raises(RghwError, match=r"count = -1 outside 0\.\.3"):
         lex_prefix_of_slice(BoxShape((3, 3)), 2, -1)
 
 

@@ -419,9 +419,12 @@ def test_invalid_inputs_exit_2(capsys):
         assert len(err.splitlines()) == 1, argv
 
 
-def test_internal_error_exits_4(capsys, monkeypatch):
+@pytest.mark.parametrize("kind", [RuntimeError, ValueError])
+def test_internal_error_exits_4(capsys, monkeypatch, kind):
+    # only RghwError is bad input: a ValueError of the package's own code
+    # (say, max() of an empty sequence) is a fault, as any other exception
     def broken(args):
-        raise RuntimeError("table slot\n  out of range")
+        raise kind("table slot\n  out of range")
 
     monkeypatch.setattr(cli, "cmd_maximal", broken)
     code, out, err = run_cli(
@@ -429,7 +432,7 @@ def test_internal_error_exits_4(capsys, monkeypatch):
     )
     assert code == 4
     assert out == ""
-    assert err == "error: internal error: RuntimeError: table slot out of range\n"
+    assert err == f"error: internal error: {kind.__name__}: table slot out of range\n"
 
 
 def test_maximal_takes_no_budget_options(capsys):

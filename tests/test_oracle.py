@@ -8,10 +8,18 @@ import pytest
 
 import brute
 from brute import oracle_max_zeros_families
-from rghw.boxcomb import BoxShape, DegreeBand, WeightQuery, band_size, iter_band, rghw
+from rghw.boxcomb import (
+    BoxShape,
+    DegreeBand,
+    WeightQuery,
+    band_size,
+    iter_band,
+    nth_band_element,
+    rghw,
+)
 from rghw.cli import DEFAULT_GRID_QS, DEFAULT_GRID_SHAPES
 from rghw.codes import build_code, build_grid
-from rghw.errors import BudgetExceeded, InvalidBudget, InvalidNesting, RankOutOfRange
+from rghw.errors import BudgetExceeded, RghwError
 from rghw.gf import Field, PackedVectors
 from rghw.oracle import (
     OracleBudget,
@@ -21,7 +29,7 @@ from rghw.oracle import (
     oracle_rghw_support,
     oracle_rghw_window,
 )
-from rghw.polynomials import common_zero_count
+from rghw.polynomials import common_zero_count, maximal_family
 from test_gf import PRIME_POWERS
 
 F2 = Field(2)
@@ -322,20 +330,20 @@ def test_budget_window_and_families():
 def test_budget_replace_and_make_check_as_the_constructor():
     budget = OracleBudget(max_states=10)
     assert budget._replace(time_cap=0) == OracleBudget(10, 0)
-    with pytest.raises(InvalidBudget):
+    with pytest.raises(RghwError, match="state budget 0 is below 1"):
         budget._replace(max_states=0)
-    with pytest.raises(InvalidBudget):
+    with pytest.raises(RghwError, match="time budget -1 s is negative"):
         OracleBudget._make((10, -1))
 
 
 def test_invalid_nesting():
     first = build_grid(F4, (2, 3))
     last = build_grid(F4, (2, 3), policy="last")
-    with pytest.raises(InvalidNesting):
+    with pytest.raises(RghwError, match="C1 and C2 live on different grids"):
         oracle_rghw_support(build_code(first, 2), build_code(last, 1), 1, None)
-    with pytest.raises(InvalidNesting):
+    with pytest.raises(RghwError, match="u2 = 2 >= u1 = 1"):
         oracle_rghw_support(build_code(first, 1), build_code(first, 2), 1, None)
-    with pytest.raises(InvalidNesting):
+    with pytest.raises(RghwError, match="u2 = 1 >= u1 = 1"):
         oracle_rghw_window(build_code(first, 1), build_code(first, 1), 1)
     same = build_grid(F4, (2, 3))
     assert oracle_rghw_support(build_code(first, 1), build_code(same, 0), 1, None).value >= 1
@@ -347,12 +355,59 @@ def test_rank_bounds():
     c2 = build_code(grid, 0)
     ell = c1.dim - c2.dim
     for bad in (0, ell + 1):
-        with pytest.raises(RankOutOfRange):
+        with pytest.raises(RghwError, match=rf"r = {bad} outside 1\.\.{ell}$"):
             oracle_rghw_support(c1, c2, bad, None)
-        with pytest.raises(RankOutOfRange):
+        with pytest.raises(RghwError, match=rf"r = {bad} outside 1\.\.{ell}$"):
             oracle_rghw_window(c1, c2, bad)
-    with pytest.raises(RankOutOfRange):
+    with pytest.raises(RghwError, match=r"r = 0 outside 1\.\."):
         oracle_max_zeros_families(grid, DegreeBand(0, 2), 0)
+
+
+# a value that is not exactly an int (a float, a bool) where a count goes,
+# with the check that refuses it; each was taken, or failed late, before
+GRID_34 = build_grid(Field(5), (3, 4))
+NOT_INTS = {
+    "box side True": (lambda: BoxShape((True, 3)), "box side True is not a positive int"),
+    "box side 2.0": (lambda: BoxShape((2.0, 3)), r"box side 2\.0 is not a positive int"),
+    "band u1 2.5": (
+        lambda: DegreeBand(-1, 2.5), r"band bounds u2 = -1, u1 = 2\.5 are not both ints"
+    ),
+    "band u2 False": (
+        lambda: DegreeBand(False, 3), "band bounds u2 = False, u1 = 3 are not both ints"
+    ),
+    "query r 1.5": (
+        lambda: WeightQuery(BoxShape((3, 4)), DegreeBand(-1, 3), 1.5),
+        r"r = 1\.5 outside 1\.\.9 ",
+    ),
+    "unrank r True": (
+        lambda: nth_band_element(BoxShape((3, 4)), DegreeBand(-1, 3), True),
+        r"r = True outside 1\.\.9 ",
+    ),
+    "family r 2.0": (
+        lambda: maximal_family(GRID_34, DegreeBand(0, 2), 2.0), r"r = 2\.0 outside 1\.\.5 "
+    ),
+    "budget 2.5, 0.5": (
+        lambda: OracleBudget(2.5, 0.5), r"budget 2\.5 states, 0\.5 s is not two ints"
+    ),
+    "budget time True": (
+        lambda: OracleBudget(time_cap=True), "budget 100000000 states, True s is not two ints"
+    ),
+    "support r 1.0": (
+        lambda: oracle_rghw_support(build_code(GRID_34, 1), None, 1.0, None),
+        r"r = 1\.0 outside 1\.\.3$",
+    ),
+    "window r True": (
+        lambda: oracle_rghw_window(build_code(GRID_34, 2), build_code(GRID_34, 0), True),
+        r"r = True outside 1\.\.5$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_INTS))
+def test_counts_must_be_ints(case):
+    call, message = NOT_INTS[case]
+    with pytest.raises(RghwError, match=message):
+        call()
 
 
 def test_results_are_deterministic():
@@ -389,7 +444,7 @@ def test_invalid_call_keeps_the_held_pair():
     c1 = build_code(build_grid(F3, (2, 3)), 2)
     other = build_code(build_grid(F2, (2,)), 1)
     oracle_rghw_support(c1, None, 1, None)
-    with pytest.raises(RankOutOfRange):
+    with pytest.raises(RghwError, match=r"r = 5 outside 1\.\.2$"):
         oracle_rghw_support(other, None, 5, None)
     # rank 2 is still bounded by M_1 + 1 = 3: 116 states, not a cold 196
     assert oracle_rghw_support(c1, None, 2, None).states_explored == 116

@@ -12,7 +12,10 @@ are called by Python itself and are exempt, as are the re-exports of
 as used.  An underscore attribute is read only through `self` or `cls`,
 so that, for one, no module but `gf.py` touches a Field's tables, and
 no module imports an underscore name from another (`from .x import _y`),
-so a private helper's contract stays inside the module that states it.  No
+so a private helper's contract stays inside the module that states it.
+A `raise` names `RghwError`, `BudgetExceeded`, `AssertionError` (a state
+no input reaches) or `SystemExit` (an entry point), and only `errors.py`
+defines an exception class, so bad input is one type to catch.  No
 function binds a module global but `oracle_rghw_support`, which keeps
 the `SupportOracle` of the latest pair asked through it in `_held`; the
 CLI holds its own objects and does not call it.
@@ -21,6 +24,7 @@ CLI holds its own objects and does not call it.
 from __future__ import annotations
 
 import ast
+import builtins
 import subprocess
 import sys
 from collections import Counter
@@ -29,9 +33,9 @@ from pathlib import Path
 import rghw
 
 PACKAGE = Path(rghw.__file__).parent
-# lines of src/rghw/*.py once the weight formula joined boxcomb.py; the
-# package may shrink below it but not grow past it
-SOURCE_LINE_CAP = 1908
+# lines of src/rghw/*.py once the errors were cut to RghwError and
+# BudgetExceeded; the package may shrink below it but not grow past it
+SOURCE_LINE_CAP = 1839
 
 
 def parsed_modules() -> dict:
@@ -301,6 +305,43 @@ def setattr_overrides(modules: dict) -> list:
     return found
 
 
+# what a `raise` may name: the package's two errors, AssertionError for a
+# state no input reaches, and SystemExit for the entry points
+RAISABLE = {"RghwError", "BudgetExceeded", "AssertionError", "SystemExit"}
+BUILTIN_EXCEPTIONS = {
+    name for name, value in vars(builtins).items()
+    if isinstance(value, type) and issubclass(value, BaseException)
+}
+
+
+def foreign_raises(modules: dict) -> list:
+    """`raise` statements that name none of RAISABLE; a bare `raise` names none."""
+    found = []
+    for name, tree in modules.items():
+        raises = sorted((n for n in ast.walk(tree) if isinstance(n, ast.Raise)), key=lambda n: n.lineno)
+        for node in raises:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised = "raise" if exc is None else ast.unparse(exc)
+            if raised not in RAISABLE:
+                found.append(f"{name}:{node.lineno} {raised}")
+    return found
+
+
+def exception_classes(modules: dict) -> list:
+    """Classes outside errors.py whose bases name an exception: a builtin
+    one or a class of the package that derives from one."""
+    known = set(BUILTIN_EXCEPTIONS)
+    found = []
+    for name, tree in sorted(modules.items(), key=lambda item: item[0] != "errors.py"):
+        classes = sorted((n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)), key=lambda n: n.lineno)
+        for node in classes:
+            if any(ast.unparse(base).split(".")[-1] in known for base in node.bases):
+                known.add(node.name)
+                if name != "errors.py":
+                    found.append(f"{name}:{node.lineno} {node.name}")
+    return found
+
+
 def test_no_dead_helpers():
     assert dead_definitions(parsed_modules()) == []
 
@@ -323,6 +364,12 @@ def test_no_private_names_imported_across_modules():
 
 def test_no_new_module_state():
     assert global_statements(parsed_modules()) == []
+
+
+def test_only_the_package_errors_are_raised():
+    modules = parsed_modules()
+    assert foreign_raises(modules) == []
+    assert exception_classes(modules) == []
 
 
 def test_no_setattr_overrides():
@@ -408,6 +455,21 @@ def test_checks_catch_what_they_look_for():
         "oracle.py:9 walk(_held)",
         "m.py:2 f(_held)",
     ]
+    errors = "class RghwError(Exception):\n    pass\nclass BudgetExceeded(RghwError):\n    pass\n"
+    raising = (
+        "class Refusal(RghwError):\n    pass\n"
+        "class Late(Refusal):\n    pass\n"
+        "class Plain(object):\n    pass\n"
+        "def f(x):\n"
+        "    if x:\n        raise ValueError(x)\n"
+        "    if x is None:\n        raise Late\n"
+        "    try:\n        return g(x)\n    except KeyError:\n        raise\n"
+        "    raise RghwError(x) from None\n"
+        "def main():\n    raise SystemExit(f(1))\n"
+    )
+    modules = {"errors.py": ast.parse(errors), "m.py": ast.parse(raising)}
+    assert foreign_raises(modules) == ["m.py:9 ValueError", "m.py:11 Late", "m.py:15 raise"]
+    assert exception_classes(modules) == ["m.py:1 Refusal", "m.py:3 Late"]
     frozen = (
         "class Shape:\n"
         "    def __init__(self, d):\n        object.__setattr__(self, 'd', d)\n"
