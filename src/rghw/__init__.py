@@ -24,8 +24,13 @@ from .boxcomb import (
 from .codes import (
     CartesianCode,
     CartesianGrid,
+    LeadingTerm,
+    MultiPoly,
     build_code,
     build_grid,
+    common_zero_count,
+    make_maximal_poly,
+    maximal_family,
 )
 from .errors import BudgetExceeded, RghwError
 from .gf import Field
@@ -35,13 +40,6 @@ from .oracle import (
     SupportOracle,
     oracle_rghw_support,
     oracle_rghw_window,
-)
-from .polynomials import (
-    LeadingTerm,
-    MultiPoly,
-    common_zero_count,
-    make_maximal_poly,
-    maximal_family,
 )
 
 __version__ = "0.1.0"

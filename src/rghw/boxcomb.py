@@ -74,7 +74,7 @@ class BoxShape(NamedTuple("BoxShape", [("d", tuple)])):
         return sum(self.d) - self.m
 
     def contains(self, a: BoxPoint) -> bool:
-        return len(a) == len(self.d) and all(0 <= x < s for x, s in zip(a, self.d))
+        return len(a) == len(self.d) and all(type(x) is int and 0 <= x < s for x, s in zip(a, self.d))
 
     def require_point(self, a: BoxPoint) -> None:
         if not self.contains(a):

@@ -19,11 +19,10 @@ from math import prod
 from random import Random
 
 from .boxcomb import BoxShape, DegreeBand, WeightQuery, check_band, footprint, iter_hierarchy, rghw
-from .codes import CartesianCode, CartesianGrid
+from .codes import CartesianCode, CartesianGrid, common_zero_count, maximal_family, random_poly
 from .errors import BudgetExceeded, RghwError
 from .gf import Field
 from .oracle import OracleBudget, SupportOracle, oracle_rghw_window
-from .polynomials import common_zero_count, maximal_family, random_poly
 
 DEFAULT_GRID_QS = (2, 3, 4)
 DEFAULT_GRID_SHAPES = ((2,), (3,), (2, 2), (2, 3), (3, 3), (2, 2, 2))

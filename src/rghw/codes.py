@@ -1,4 +1,5 @@
-"""Affine Cartesian evaluation codes and the small linear algebra they need.
+"""Affine Cartesian evaluation codes, the polynomials they evaluate, and
+the small linear algebra they need.
 
 A CartesianGrid is a product A_1 x ... x A_m of distinct-element subsets
 of GF(q), with |A_i| = d_i ascending; its constructor (also named
@@ -8,14 +9,23 @@ grid the order they were given in (`permutation`).  Points are ordered
 mixed-radix (last coordinate fastest), so a point's position is the
 mixed-radix encoding of its index tuple, as in the box.
 
-A grid evaluates a polynomial one coordinate at a time on whole rows:
-each stage is Kronecker products and sums of rows with the power columns
-[a^e for a in A_i], through the Field's row kernels (`Field.kron`,
-`Field.add_rows`).  The stages stop after the last coordinate a term
-uses, since x^0 only repeats values.  It can stop at a prefix of the
-points, whole values of x_1, which is all a common-zero count needs past
-its first member.  A column is built when `evaluate` first reads it, and
-kept, so a grid costs no more to build than its subsets.
+A MultiPoly is {exponent tuple: coefficient}, every exponent inside the
+box (deg_{x_i} <= d_i - 1) and every coefficient a nonzero canonical field
+encoding, each an int exactly; its constructor is the one check of an
+exponent.  Its leading term is graded-lex: higher total degree wins, ties
+broken lexicographically.  `make_maximal_poly(grid, b)` is the product
+prod_i prod_{j < b_i} (x_i - A_i[j]), leading term x^b; those of the first
+r band exponents attain the weight formula.
+
+A grid evaluates a MultiPoly of its own shape and field one coordinate at
+a time on whole rows: each stage is Kronecker products and sums of rows
+with the power columns [a^e for a in A_i], through the Field's row
+kernels (`Field.kron`, `Field.add_rows`).  The stages stop after the last
+coordinate a term uses, since x^0 only repeats values.  It can stop at a
+prefix of the points, whole values of x_1, which is all a common-zero
+count needs past its first member.  A column is built when `evaluate`
+first reads it, and kept, so a grid costs no more to build than its
+subsets.
 
 A CartesianCode of degree bound u evaluates every monomial x^a with
 deg(a) <= u (exponents in the box) on the grid; rows of the generator
@@ -31,10 +41,11 @@ row kernels.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
-from typing import Iterable, Sequence
+from itertools import chain, islice, repeat
+from random import Random
+from typing import Iterable, NamedTuple, Sequence
 
-from .boxcomb import BoxShape, DegreeBand, iter_band
+from .boxcomb import BoxShape, DegreeBand, check_rank, iter_band
 from .errors import RghwError
 from .gf import Field
 
@@ -77,8 +88,6 @@ class _Powers(dict):
         self.field, self.subset = field, subset
 
     def __missing__(self, e):
-        if not 0 <= e < len(self.subset):
-            raise RghwError(f"exponent {e!r} outside 0..{len(self.subset) - 1} of a grid side")
         column = self[e] = self.field.powers(self.subset, e)
         return column
 
@@ -132,13 +141,13 @@ class CartesianGrid:
 
     def monomial_values(self, exp) -> tuple:
         """Values of x^exp at every grid point, in point order."""
-        return self.evaluate({tuple(exp): 1})
+        return self.evaluate(MultiPoly(self.field, self.shape, {tuple(exp): 1}))
 
-    def evaluate(self, terms: dict, count=None) -> tuple:
-        """Values of sum c_e x^e over `terms` = {e: c} at the grid points
-        before `count` (all n without it), rounded up to whole values of the
-        first coordinate, in point order.  An exponent outside the box raises
-        RghwError: its length here, its entries when a stage reads them.
+    def evaluate(self, poly: MultiPoly, count=None) -> tuple:
+        """Values of `poly` at the grid points before `count` (all n without
+        it), rounded up to whole values of the first coordinate, in point
+        order.  A polynomial of another shape or field raises RghwError; its
+        exponents were checked when it was built.
 
         Stage i turns a table {(e_i, ..., e_m): row over the points of the
         first i - 1 coordinates} into one keyed by (e_{i+1}, ..., e_m), each
@@ -150,14 +159,13 @@ class CartesianGrid:
         The stages stop after x_t, the last coordinate a term uses: each
         value repeats over tail = d_{t+1}...d_m points (all kept ones, if t = 0).
         """
+        if poly.shape != self.shape or poly.field != self.field:
+            raise RghwError("polynomial and grid disagree on box shape or field")
         kron, add_rows = self.field.kron, self.field.add_rows
-        n, d1, m = self.shape.n, self.shape.d[0], len(self._cols)
-        for e in terms:
-            if len(e) != m:
-                raise RghwError(f"exponent {e!r} has {len(e)} coordinates, the grid {m}")
+        n, d1 = self.shape.n, self.shape.d[0]
         head = d1 if count is None else min(d1, -(-count * d1 // n))  # values of x_1 kept
         cut = head < d1
-        rows = {e: (c,) for e, c in terms.items()}
+        rows = {e: (c,) for e, c in poly.terms.items()}
         for cols in self._cols:
             if len(rows) < 2 and not any(next(iter(rows), ())):  # every exponent left is 0
                 break
@@ -226,3 +234,127 @@ class CartesianCode:
 
 
 build_code = CartesianCode
+
+
+# -- polynomials on the grid ------------------------------------------------------
+
+
+class LeadingTerm(NamedTuple):
+    exponent: tuple
+    coefficient: int
+
+
+class MultiPoly:
+    __slots__ = ("field", "shape", "terms")
+
+    def __init__(self, field: Field, shape: BoxShape, terms: dict):
+        clean = {}
+        for exp, c in terms.items():
+            exp = tuple(exp)
+            if not shape.contains(exp):
+                raise RghwError(f"exponent {exp!r} outside box {shape.d}")
+            if type(c) is not int or not 0 <= c < field.q:
+                raise RghwError(f"coefficient {c!r} is not a canonical GF({field.q}) encoding")
+            if c:
+                clean[exp] = c
+        self.field = field
+        self.shape = shape
+        self.terms = clean
+
+    def leading_term(self) -> LeadingTerm | None:
+        if not self.terms:
+            return None
+        exp = max(self.terms, key=lambda e: (sum(e), e))
+        return LeadingTerm(exp, self.terms[exp])
+
+    def render(self) -> str:
+        """Human form like 'x1*x2^2 + 2*x1*x2'; coefficients are canonical ints."""
+        if not self.terms:
+            return "0"
+        pieces = []
+        for exp in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
+            c = self.terms[exp]
+            vars_ = [
+                f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+                for i, e in enumerate(exp)
+                if e
+            ]
+            if not vars_:
+                pieces.append(str(c))
+            elif c == 1:
+                pieces.append("*".join(vars_))
+            else:
+                pieces.append("*".join([str(c)] + vars_))
+        return " + ".join(pieces)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, MultiPoly)
+            and other.field == self.field
+            and other.shape == self.shape
+            and other.terms == self.terms
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.shape, frozenset(self.terms.items())))
+
+    def __repr__(self) -> str:
+        return f"MultiPoly({self.render()!r} over GF({self.field.q}))"
+
+
+def make_maximal_poly(grid: CartesianGrid, b) -> MultiPoly:
+    """The canonical degree-|b| polynomial with leading exponent b that
+    vanishes on every grid point whose index tuple does not dominate b.
+
+    Each coordinate's factor prod_{j < b_i} (x - A_i[j]) is multiplied out
+    as a coefficient list (lowest degree first); the product over the
+    coordinates is their outer product."""
+    b = tuple(b)
+    shape = grid.shape
+    shape.require_point(b)
+    field = grid.field
+    terms = {(): 1}
+    for bi, subset in zip(b, grid.subsets):
+        factor = [1]
+        for gamma in subset[:bi]:  # factor *= (x - gamma): shifted up, plus -gamma times kept
+            factor = field.add_rows([0] + factor, factor + [0], field.neg(gamma))
+        terms = {
+            exp + (e,): field.mul(c, fc)
+            for exp, c in terms.items()
+            for e, fc in enumerate(factor)
+            if fc
+        }
+    return MultiPoly(field, shape, terms)
+
+
+def common_zero_count(fs: Sequence[MultiPoly], grid: CartesianGrid) -> int:
+    """Number of grid points where every polynomial of the family vanishes;
+    each member is evaluated only up to the last common zero of those before
+    it, and only over the coordinates up to the last one it uses (`evaluate`)."""
+    if not fs:
+        raise RghwError("common_zero_count needs at least one polynomial")
+    if any(f.shape != grid.shape or f.field != grid.field for f in fs):
+        raise RghwError("polynomial and grid disagree on box shape or field")
+    alive = range(grid.shape.n)
+    for f in fs:
+        values = grid.evaluate(f, alive[-1] + 1)
+        alive = [i for i in alive if not values[i]]
+        if not alive:
+            break
+    return len(alive)
+
+
+def maximal_family(grid: CartesianGrid, band: DegreeBand, r: int) -> list[MultiPoly]:
+    """Canonical family for the first r band exponents, from one descending-lex band walk."""
+    check_rank(grid.shape, band, r)
+    return [make_maximal_poly(grid, b) for b in islice(iter_band(grid.shape, band), r)]
+
+
+def random_poly(field: Field, shape: BoxShape, rng: Random) -> MultiPoly:
+    """Nonzero polynomial with 1..4 random box exponents; for the seeded
+    footprint-bound sweeps."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exp = tuple(rng.randrange(s) for s in shape.d)
+        terms[exp] = rng.randint(1, field.q - 1)
+    return MultiPoly(field, shape, terms)

@@ -56,6 +56,7 @@ from .gf import PackedVectors, digits
 
 DEFAULT_MAX_STATES = 10**8
 DEFAULT_TIME_CAP = 300
+MAX_TIME_CAP = 10**9  # about 32 years; time.monotonic() + the cap must stay a float
 
 
 class OracleBudget(NamedTuple("OracleBudget", [("max_states", int), ("time_cap", int)])):
@@ -71,6 +72,8 @@ class OracleBudget(NamedTuple("OracleBudget", [("max_states", int), ("time_cap",
             raise RghwError(f"state budget {max_states} is below 1")
         if time_cap < 0:
             raise RghwError(f"time budget {time_cap} s is negative")
+        if time_cap > MAX_TIME_CAP:  # unprinted: it may have more digits than str() allows
+            raise RghwError(f"time budget is above {MAX_TIME_CAP} s")
         return super().__new__(cls, max_states, time_cap)
 
 

@@ -21,10 +21,10 @@ from collections import Counter
 from math import comb, prod
 
 from rghw.boxcomb import DegreeBand, iter_band, nth_band_element, shadow
+from rghw.codes import MultiPoly
 from rghw.errors import RghwError
 from rghw.gf import PackedVectors, digits
 from rghw.oracle import OracleBudget, OracleResult, _coset_masks, _Meter
-from rghw.polynomials import MultiPoly
 
 
 def box_points(d):

@@ -26,10 +26,9 @@ from rghw.boxcomb import (
     shadow,
 )
 from rghw.cli import run_footprint_sweep, run_verify_grid
-from rghw.codes import build_code, build_grid
+from rghw.codes import build_code, build_grid, common_zero_count, maximal_family
 from rghw.gf import Field
 from rghw.oracle import oracle_rghw_support, oracle_rghw_window
-from rghw.polynomials import common_zero_count, maximal_family
 
 ACCEPTANCE_QS = (2, 3, 4)
 ACCEPTANCE_SHAPES = ((2,), (3,), (2, 2), (2, 3), (3, 3), (2, 2, 2))

@@ -419,6 +419,21 @@ def test_invalid_inputs_exit_2(capsys):
         assert len(err.splitlines()) == 1, argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hierarchy", "--q", "3", "--sizes", "2,2", "--u1", "1", "--u2", "-1", "--oracle"),
+        ("verify", "--q-list", "2", "--shapes", "2"),
+    ],
+    ids=["hierarchy", "verify"],
+)
+def test_huge_time_budget_is_bad_input(capsys, argv):
+    # a cap past what a float deadline holds is refused up front, not an
+    # OverflowError when the first oracle call starts its clock
+    code, out, err = run_cli(capsys, *argv, "--budget-seconds", "1" + "0" * 400)
+    assert (code, out, err) == (2, "", "error: time budget is above 1000000000 s\n")
+
+
 @pytest.mark.parametrize("kind", [RuntimeError, ValueError])
 def test_internal_error_exits_4(capsys, monkeypatch, kind):
     # only RghwError is bad input: a ValueError of the package's own code

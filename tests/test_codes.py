@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import sys
 import tracemalloc
 
@@ -7,10 +8,10 @@ import pytest
 
 import brute
 from rghw import codes
-from rghw.boxcomb import DegreeBand, band_size, iter_band
+from rghw.boxcomb import BoxShape, DegreeBand, band_size, iter_band
 from rghw.cli import DEFAULT_GRID_QS, DEFAULT_GRID_SHAPES
 from rghw.cli import main
-from rghw.codes import CartesianCode, CartesianGrid, build_code, build_grid, rref
+from rghw.codes import CartesianCode, CartesianGrid, MultiPoly, build_code, build_grid, rref
 from rghw.errors import RghwError
 from rghw.gf import Field
 
@@ -103,15 +104,15 @@ def test_grid_builds_each_power_column_once_on_first_read(monkeypatch):
     assert grid.monomial_values((2, 0)) == (0, 0, 0, 0, 1, 1, 1, 1, 3, 3, 3, 3)
     assert built == [((0, 1, 2), 2)]
     assert grid.monomial_values((0, 0)) == (1,) * 12
-    assert grid.evaluate({(0, 0): 2}, 5) == (2,) * 8
+    assert grid.evaluate(MultiPoly(F4, grid.shape, {(0, 0): 2}), 5) == (2,) * 8
     assert built == [((0, 1, 2), 2)]
     for d in range(grid.shape.k + 1):
         CartesianCode(grid, d)
-    grid.evaluate({(1, 3): 1, (2, 3): 1, (0, 1): 2})
+    grid.evaluate(MultiPoly(F4, grid.shape, {(1, 3): 1, (2, 3): 1, (0, 1): 2}))
     # no evaluation above reads x_2^0: each x_2 stage that ran had a power above 0
     every = [(sub, e) for sub in grid.subsets for e in range(len(sub))]
     assert sorted(built) == sorted(set(every) - {((0, 1, 2, 3), 0)})
-    grid.evaluate({(1, 0): 1, (0, 2): 1})  # x_2^0 beside x_2^2 reads it
+    grid.evaluate(MultiPoly(F4, grid.shape, {(1, 0): 1, (0, 2): 1}))  # x_2^0 beside x_2^2 reads it
     assert sorted(built) == sorted(every)
 
 
@@ -136,33 +137,41 @@ def test_monomial_values_examples():
     assert grid.monomial_values((1, 0)) == (0, 0, 1, 1)
     assert grid.monomial_values((1, 1)) == (0, 0, 0, 1)
     assert grid.monomial_values((0, 0)) == (1, 1, 1, 1)
-    with pytest.raises(RghwError, match=r"exponent 2 outside 0\.\.1 of a grid side"):
+    with pytest.raises(RghwError, match=r"exponent \(2, 0\) outside box \(2, 2\)"):
         grid.monomial_values((2, 0))
 
 
-# exponents outside the (2, 3) box, each with the check that refuses it
-OUTSIDE_THE_BOX = {
-    (1, 0, 1): r"exponent \(1, 0, 1\) has 3 coordinates, the grid 2",
-    (1,): r"exponent \(1,\) has 1 coordinates, the grid 2",
-    (-1, 0): r"exponent -1 outside 0\.\.1 of a grid side",
-    (1, 5): r"exponent 5 outside 0\.\.2 of a grid side",
-}
+# exponents outside the (2, 3) box; the polynomial's constructor refuses each
+OUTSIDE_THE_BOX = [(1, 0, 1), (1,), (-1, 0), (1, 5)]
 
 
-@pytest.mark.parametrize("exp", list(OUTSIDE_THE_BOX))
-def test_evaluate_rejects_exponents_outside_the_box(exp):
+@pytest.mark.parametrize("exp", OUTSIDE_THE_BOX)
+def test_evaluate_rejects_exponents_outside_the_box(exp, monkeypatch):
     # a wrong length or a side's power past d_i - 1 (or below 0) is no
     # monomial of the box: neither x_1's values nor x_2^5 are an answer
+    built, powers = [], Field.powers
+    monkeypatch.setattr(Field, "powers", lambda self, xs, e: built.append(e) or powers(self, xs, e))
     grid = CartesianGrid(F4, (2, 3))
-    message = OUTSIDE_THE_BOX[exp]
-    for count in (None, 3):
+    message = re.escape(f"exponent {exp!r} outside box (2, 3)")
+    for terms in ({exp: 1}, {(0, 1): 1, exp: 1}):
         with pytest.raises(RghwError, match=message):
-            grid.evaluate({exp: 1}, count)
-        with pytest.raises(RghwError, match=message):
-            grid.evaluate({(0, 1): 1, exp: 1}, count)
+            grid.evaluate(MultiPoly(F4, grid.shape, terms))
     with pytest.raises(RghwError, match=message):
         grid.monomial_values(exp)
-    assert grid.evaluate({(1, 2): 1}) == (0, 0, 0, 0, 1, 3)  # nothing bad was kept
+    assert built == []  # nothing bad was kept
+    assert grid.evaluate(MultiPoly(F4, grid.shape, {(1, 2): 1})) == (0, 0, 0, 0, 1, 3)
+
+
+def test_evaluate_rejects_a_polynomial_of_another_grid(monkeypatch):
+    # same m, another box; same box, another field: no power column is built
+    built = []
+    monkeypatch.setattr(Field, "powers", lambda self, xs, e: built.append(e))
+    grid = CartesianGrid(F4, (2, 3))
+    for f in (MultiPoly(F4, BoxShape((3, 3)), {(2, 1): 1}), MultiPoly(F3, grid.shape, {(1, 2): 1})):
+        for count in (None, 3):
+            with pytest.raises(RghwError, match="polynomial and grid disagree"):
+                grid.evaluate(f, count)
+    assert built == []
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 101, 256])
@@ -180,10 +189,11 @@ def test_evaluate_prefix_matches_full_evaluation(q):
                 tuple(rng.randrange(s) for s in grid.shape.d): rng.randrange(q)
                 for _ in range(rng.randint(0, 5))
             }
-            full = grid.evaluate(terms)
+            f = MultiPoly(field, grid.shape, terms)
+            full = grid.evaluate(f)
             assert len(full) == n
             for count in (0, 1, tail, tail + 1, n):
-                values = grid.evaluate(terms, count)
+                values = grid.evaluate(f, count)
                 assert len(values) == min(n, -(-count // tail) * tail), (sizes, count)
                 assert values == full[: len(values)], (sizes, terms, count)
 
@@ -204,9 +214,10 @@ def test_evaluate_prefix_of_constant_terms(q):
         for terms, value in (({zero: c}, c), ({}, 0), ({zero: 0}, 0), ({(1,) + zero[1:]: 0}, 0)):
             if not grid.shape.contains(next(iter(terms), zero)):
                 continue
-            assert grid.evaluate(terms) == (value,) * n
+            f = MultiPoly(field, grid.shape, terms)
+            assert grid.evaluate(f) == (value,) * n
             for count in range(1, n + 1):
-                assert grid.evaluate(terms, count) == (value,) * (-(-count // tail) * tail), (sizes, count)
+                assert grid.evaluate(f, count) == (value,) * (-(-count // tail) * tail), (sizes, count)
 
 
 @pytest.mark.skipif(sys.implementation.name != "cpython", reason="counts CPython blocks")

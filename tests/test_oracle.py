@@ -18,10 +18,11 @@ from rghw.boxcomb import (
     rghw,
 )
 from rghw.cli import DEFAULT_GRID_QS, DEFAULT_GRID_SHAPES
-from rghw.codes import build_code, build_grid
+from rghw.codes import build_code, build_grid, common_zero_count, maximal_family
 from rghw.errors import BudgetExceeded, RghwError
 from rghw.gf import Field, PackedVectors
 from rghw.oracle import (
+    MAX_TIME_CAP,
     OracleBudget,
     SupportOracle,
     _coset_masks,
@@ -29,7 +30,6 @@ from rghw.oracle import (
     oracle_rghw_support,
     oracle_rghw_window,
 )
-from rghw.polynomials import common_zero_count, maximal_family
 from test_gf import PRIME_POWERS
 
 F2 = Field(2)
@@ -334,6 +334,13 @@ def test_budget_replace_and_make_check_as_the_constructor():
         budget._replace(max_states=0)
     with pytest.raises(RghwError, match="time budget -1 s is negative"):
         OracleBudget._make((10, -1))
+
+
+def test_budget_time_cap_has_a_maximum():
+    assert OracleBudget(1, MAX_TIME_CAP).time_cap == MAX_TIME_CAP
+    for cap in (MAX_TIME_CAP + 1, 10**400):
+        with pytest.raises(RghwError, match=rf"^time budget is above {MAX_TIME_CAP} s$"):
+            OracleBudget(1, cap)
 
 
 def test_invalid_nesting():

@@ -14,20 +14,21 @@ from rghw.boxcomb import (
     band_size,
     footprint,
     iter_band,
+    lex_rank_in_leq,
     nth_band_element,
     rghw,
 )
-from rghw.codes import build_grid
-from rghw.errors import RghwError
-from rghw.gf import Field
-from rghw.polynomials import (
+from rghw.codes import (
     LeadingTerm,
     MultiPoly,
+    build_grid,
     common_zero_count,
     make_maximal_poly,
     maximal_family,
     random_poly,
 )
+from rghw.errors import RghwError
+from rghw.gf import Field
 
 F2 = Field(2)
 F3 = Field(3)
@@ -44,6 +45,44 @@ def test_terms_rejections_and_cleanup():
         MultiPoly(F3, shape, {(1, 0): 3})
     with pytest.raises(RghwError, match=r"coefficient -1 is not a canonical GF\(3\) encoding"):
         MultiPoly(F3, shape, {(1, 0): -1})
+
+
+# an exponent entry or a coefficient that is not exactly an int, with the
+# check that refuses it; each was taken before
+GRID_23 = build_grid(F3, (2, 3))
+NOT_INTS = {
+    "exponent (1.0, 0)": (
+        lambda: MultiPoly(F3, GRID_23.shape, {(1.0, 0): 1}),
+        r"exponent \(1\.0, 0\) outside box \(2, 3\)",
+    ),
+    "exponent (True, 0)": (
+        lambda: MultiPoly(F3, GRID_23.shape, {(True, 0): 1}),
+        r"exponent \(True, 0\) outside box \(2, 3\)",
+    ),
+    "coefficient 1.0": (
+        lambda: MultiPoly(F3, GRID_23.shape, {(1, 0): 1.0}),
+        r"coefficient 1\.0 is not a canonical GF\(3\) encoding",
+    ),
+    "coefficient True": (
+        lambda: MultiPoly(F3, GRID_23.shape, {(1, 0): True}),
+        r"coefficient True is not a canonical GF\(3\) encoding",
+    ),
+    "maximal (True, 0)": (
+        lambda: make_maximal_poly(GRID_23, (True, 0)),
+        r"point \(True, 0\) outside box \(2, 3\)",
+    ),
+    "lex rank (0, False)": (
+        lambda: lex_rank_in_leq(GRID_23.shape, 2, (0, False)),
+        r"point \(0, False\) outside box \(2, 3\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_INTS))
+def test_exponents_and_coefficients_must_be_ints(case):
+    build, message = NOT_INTS[case]
+    with pytest.raises(RghwError, match=message):
+        build()
 
 
 def test_zero_polynomial():
@@ -92,7 +131,7 @@ def test_maximal_poly_leading_term_and_zero_set(q, sizes, policy):
         lt = f.leading_term()
         assert lt.exponent == b and lt.coefficient == 1
         assert max(map(sum, f.terms)) == sum(b)
-        values = grid.evaluate(f.terms)
+        values = grid.evaluate(f)
         for pos, idx in enumerate(shape.points()):
             if brute.dominates(b, idx):
                 assert values[pos] != 0
@@ -137,7 +176,7 @@ def test_evaluation_matches_brute():
     rng = random.Random(7)
     for _ in range(25):
         f = random_poly(F4, grid.shape, rng)
-        values = grid.evaluate(f.terms)
+        values = grid.evaluate(f)
         for pos, point in enumerate(itertools.product(*grid.subsets)):
             assert values[pos] == brute.brute_eval(F4, f.terms, point)
 
@@ -246,7 +285,7 @@ def test_grid_evaluation_matches_brute_on_dense_polynomials(q):
             box = brute.box_points(grid.shape.d)
             terms = {e: rng.randrange(1, q) for e in box if rng.random() < 0.6}
             for f in (MultiPoly(field, grid.shape, terms), MultiPoly(field, grid.shape, {})):
-                values = grid.evaluate(f.terms)
+                values = grid.evaluate(f)
                 assert values == tuple(brute.brute_eval(field, f.terms, x) for x in points)
             for e in box:
                 assert grid.monomial_values(e) == tuple(brute.brute_eval(field, {e: 1}, x) for x in points)
@@ -289,7 +328,7 @@ def test_grid_evaluation_matches_brute_at_families_scale(q):
         band = DegreeBand(rng.randint(-1, 2), 6)
         polys = [random_poly(field, shape, rng) for _ in range(8)] + maximal_family(grid, band, 5)
         for f in polys:
-            values = grid.evaluate(f.terms)
+            values = grid.evaluate(f)
             assert len(values) == shape.n
             for idx in samples:
                 point = tuple(sub[j] for sub, j in zip(grid.subsets, idx))
@@ -322,7 +361,7 @@ def test_family_evaluations_pinned():
     count = 0
     for q, sizes, subsets, band, r, grid in pinned_families():
         family = maximal_family(grid, band, r)
-        values = [grid.evaluate(f.terms) for f in family]
+        values = [grid.evaluate(f) for f in family]
         zeros = common_zero_count(family, grid)
         digest.update(repr((q, sizes, subsets, band.u2, band.u1, r, values, zeros)).encode())
         count += 1
@@ -431,6 +470,6 @@ def test_common_zero_count_matches_scalar_count_on_sub_grid_members(query):
     points = list(itertools.product(*grid.subsets))
     scalar = [tuple(brute.brute_eval(field, f.terms, x) for x in points) for f in family]
     for f, values in zip(family, scalar):
-        assert grid.evaluate(f.terms) == values
+        assert grid.evaluate(f) == values
     zeros = sum(not any(values[i] for values in scalar) for i in range(len(points)))
     assert common_zero_count(family, grid) == zeros
