@@ -74,7 +74,8 @@ class BoxShape(NamedTuple("BoxShape", [("d", tuple)])):
         return sum(self.d) - self.m
 
     def contains(self, a: BoxPoint) -> bool:
-        return len(a) == len(self.d) and all(type(x) is int and 0 <= x < s for x, s in zip(a, self.d))
+        shaped = type(a) is tuple and len(a) == len(self.d)
+        return shaped and all(type(x) is int and 0 <= x < s for x, s in zip(a, self.d))
 
     def require_point(self, a: BoxPoint) -> None:
         if not self.contains(a):
@@ -251,7 +252,6 @@ def shadow(shape: BoxShape, points: Iterable[BoxPoint]) -> set:
     seen = set()
     stack = []
     for a in points:
-        a = tuple(a)
         shape.require_point(a)
         if a not in seen:
             seen.add(a)

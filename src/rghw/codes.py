@@ -250,7 +250,6 @@ class MultiPoly:
     def __init__(self, field: Field, shape: BoxShape, terms: dict):
         clean = {}
         for exp, c in terms.items():
-            exp = tuple(exp)
             if not shape.contains(exp):
                 raise RghwError(f"exponent {exp!r} outside box {shape.d}")
             if type(c) is not int or not 0 <= c < field.q:
@@ -309,7 +308,6 @@ def make_maximal_poly(grid: CartesianGrid, b) -> MultiPoly:
     Each coordinate's factor prod_{j < b_i} (x - A_i[j]) is multiplied out
     as a coefficient list (lowest degree first); the product over the
     coordinates is their outer product."""
-    b = tuple(b)
     shape = grid.shape
     shape.require_point(b)
     field = grid.field

@@ -16,8 +16,8 @@ class RghwError(Exception):
 class BudgetExceeded(RghwError):
     """An oracle ran out of its state or wall-clock budget.
 
-    Carries the number of states explored so far; callers must treat this
-    as SKIPPED, never as an answer.
+    Carries the number of states explored so far, max_states + 1 on a
+    state refusal; callers must treat this as SKIPPED, never as an answer.
     """
 
     def __init__(self, message: str, states_explored: int):

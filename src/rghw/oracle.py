@@ -50,6 +50,7 @@ from math import comb
 from operator import lshift, or_
 from typing import NamedTuple
 
+from .boxcomb import DegreeBand, check_rank
 from .codes import CartesianCode
 from .errors import BudgetExceeded, RghwError
 from .gf import PackedVectors, digits
@@ -66,12 +67,15 @@ class OracleBudget(NamedTuple("OracleBudget", [("max_states", int), ("time_cap",
     _make = classmethod(lambda cls, fields: cls(*fields))  # checked; _replace calls it
 
     def __new__(cls, max_states: int = DEFAULT_MAX_STATES, time_cap: int = DEFAULT_TIME_CAP):
-        if type(max_states) is not int or type(time_cap) is not int:
-            raise RghwError(f"budget {max_states!r} states, {time_cap!r} s is not two ints")
-        if max_states < 1:
-            raise RghwError(f"state budget {max_states} is below 1")
-        if time_cap < 0:
-            raise RghwError(f"time budget {time_cap} s is negative")
+        try:  # str() refuses an int of more digits than sys.get_int_max_str_digits()
+            if type(max_states) is not int or type(time_cap) is not int:
+                raise RghwError(f"budget {max_states!r} states, {time_cap!r} s is not two ints")
+            if max_states < 1:
+                raise RghwError(f"state budget {max_states} is below 1")
+            if time_cap < 0:
+                raise RghwError(f"time budget {time_cap} s is negative")
+        except ValueError:
+            raise RghwError("budget refused: a value has more digits than str() prints") from None
         if time_cap > MAX_TIME_CAP:  # unprinted: it may have more digits than str() allows
             raise RghwError(f"time budget is above {MAX_TIME_CAP} s")
         return super().__new__(cls, max_states, time_cap)
@@ -98,6 +102,7 @@ class _Meter:
     def spend(self, k: int = 1) -> None:
         self.states += k
         if self.states > self.max_states:
+            self.states = self.max_states + 1  # where a one-by-one walk would stop
             raise BudgetExceeded(
                 f"state budget exhausted ({self.states} > {self.max_states})",
                 self.states,
@@ -110,16 +115,11 @@ class _Meter:
                 )
 
 
-def _check_pair(c1: CartesianCode, c2: CartesianCode | None, r: int) -> None:
-    """C2 (None: the zero code) must lie in C1 on one grid, and r in 1..ell."""
-    if c2 is not None:
-        if c2.grid.field != c1.grid.field or c2.grid.subsets != c1.grid.subsets:
-            raise RghwError("C1 and C2 live on different grids")
-        if c2.d >= c1.d:
-            raise RghwError(f"u2 = {c2.d} >= u1 = {c1.d}")
-    ell = c1.dim - (c2.dim if c2 is not None else 0)
-    if type(r) is not int or not 1 <= r <= ell:
-        raise RghwError(f"r = {r!r} outside 1..{ell}")
+def _pair_band(c1: CartesianCode, c2: CartesianCode | None) -> DegreeBand:
+    """The band (u2, u1] of C2 < C1 (None: the zero code), codes of one grid."""
+    if c2 is not None and (c2.grid.field != c1.grid.field or c2.grid.subsets != c1.grid.subsets):
+        raise RghwError("C1 and C2 live on different grids")
+    return DegreeBand(-1 if c2 is None else c2.d, c1.d)
 
 
 def _coset_masks(field, packing: PackedVectors, base, gens, meter: _Meter) -> list:
@@ -127,9 +127,8 @@ def _coset_masks(field, packing: PackedVectors, base, gens, meter: _Meter) -> li
     index `enc` has generator coefficients equal to the base-q digits of
     enc (digit j = coefficient of gens[j]).  The q**len(gens) - 1 new
     vectors are charged before any is built, so a coset over budget
-    allocates nothing; the charge is capped so that the refusal names a
-    printable count."""
-    meter.spend(min(field.q ** len(gens) - 1, meter.max_states + 1))
+    allocates nothing."""
+    meter.spend(field.q ** len(gens) - 1)
     vectors = [packing.pack(base)]
     for g in gens:
         block = vectors[:]
@@ -167,6 +166,7 @@ class SupportOracle:
 
     def __init__(self, c1: CartesianCode, c2: CartesianCode | None):
         self.c1, self.c2 = c1, c2
+        self.band = _pair_band(c1, c2)  # the pair is checked here, r by `rank`
         self.solved: dict = {}  # rank -> value
 
     def rank(self, r: int, budget: OracleBudget | None = None) -> OracleResult:
@@ -176,13 +176,13 @@ class SupportOracle:
         (one per coset translate, charged again on every call) plus the
         rows it visited."""
         c1, c2 = self.c1, self.c2
-        _check_pair(c1, c2, r)
+        check_rank(c1.grid.shape, self.band, r)
         meter = _Meter(budget or OracleBudget())
         if self.masks is not None:
             meter.spend(self.setup_states)
         else:  # built into locals, so that a refused set-up leaves nothing held
             field = c1.grid.field
-            u2 = -1 if c2 is None else c2.d
+            u2 = self.band.u2
             wrows = tuple(row for exp, row in zip(c1.basis, c1.G) if sum(exp) > u2)
             g2rows = tuple(c2.G) if c2 is not None else ()
             ell = len(wrows)
@@ -289,9 +289,10 @@ def oracle_rghw_support(
     calls on one pair in a row share an object, which a valid call on
     another pair replaces (so alternating pairs rebuilds every set-up)."""
     global _held
-    _check_pair(c1, c2, r)
     if _held is None or _held.c1 is not c1 or _held.c2 is not c2:
-        _held = SupportOracle(c1, c2)
+        oracle = SupportOracle(c1, c2)
+        check_rank(c1.grid.shape, oracle.band, r)  # an invalid call keeps the held pair
+        _held = oracle
     return _held.rank(r, budget)
 
 
@@ -314,7 +315,7 @@ def oracle_rghw_window(
     and popping them on backtrack, so a window costs O(1) reductions.  A
     coordinate raises the gap by at most 1, so a subtree that cannot reach
     r is charged its windows without reducing anything."""
-    _check_pair(c1, c2, r)
+    check_rank(c1.grid.shape, _pair_band(c1, c2), r)
     meter = _Meter(budget or OracleBudget())
     field = c1.grid.field
     add_rows, mul, neg, inv = field.add_rows, field.mul, field.neg, field.inv
@@ -345,9 +346,7 @@ def oracle_rghw_window(
         lexicographic order; True (window kept) at the first gap of r."""
         base = (len(window) if h2 is None else len(b2)) - len(b1)
         if base + left < r:  # the gap grows by at most 1 a coordinate
-            # charge the subtree's windows at once, capped so that a refusal
-            # reports the state a one-by-one walk would have stopped at
-            meter.spend(min(comb(n - start, left), meter.max_states + 1 - meter.states))
+            meter.spend(comb(n - start, left))  # the subtree's windows at once
             return False
         for j in range(start, n - left + 1):
             window.append(j)

@@ -343,6 +343,14 @@ def test_budget_time_cap_has_a_maximum():
             OracleBudget(1, cap)
 
 
+def test_budget_too_long_to_print_is_bad_input():
+    # a refused value with more digits than str() prints must not turn the
+    # message into an internal ValueError
+    for states, cap in ((-10**5000, 1), (1, -10**5000), (10**5000, 0.5)):
+        with pytest.raises(RghwError, match=r"^budget refused: a value has more digits than str"):
+            OracleBudget(states, cap)
+
+
 def test_invalid_nesting():
     first = build_grid(F4, (2, 3))
     last = build_grid(F4, (2, 3), policy="last")
@@ -356,15 +364,48 @@ def test_invalid_nesting():
     assert oracle_rghw_support(build_code(first, 1), build_code(same, 0), 1, None).value >= 1
 
 
+def test_bad_pair_is_refused_when_the_oracle_is_built():
+    first = build_grid(F4, (2, 3))
+    last = build_grid(F4, (2, 3), policy="last")
+    with pytest.raises(RghwError, match="^C1 and C2 live on different grids$"):
+        SupportOracle(build_code(first, 2), build_code(last, 1))
+    for u2, u1 in ((2, 1), (1, 1)):
+        with pytest.raises(RghwError, match=rf"^empty band: u2 = {u2} >= u1 = {u1}$"):
+            SupportOracle(build_code(first, u1), build_code(first, u2))
+
+
+def refusal(call):
+    with pytest.raises(RghwError) as err:
+        call()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("field, sizes", [(F3, (2, 3)), (Field(5), (3, 4))], ids=str)
+def test_one_refusal_for_one_bad_rank(field, sizes):
+    # the formula and both oracles refuse a bad r of a pair with one message
+    for grid, u1, u2, ell in chain_pairs(field, sizes):
+        band = DegreeBand(u2, u1)
+        for r in (0, -1, ell + 1, 1.0, True, None):
+            c1, c2 = fresh_pair(grid, u1, u2)
+            messages = {
+                refusal(lambda: WeightQuery(grid.shape, band, r)),
+                refusal(lambda: SupportOracle(c1, c2).rank(r)),
+                refusal(lambda: oracle_rghw_window(c1, c2, r)),
+                refusal(lambda: oracle_rghw_support(c1, c2, r, None)),
+            }
+            assert messages == {f"r = {r!r} outside 1..{ell} for band {band} in box {grid.shape.d}"}
+
+
 def test_rank_bounds():
     grid = build_grid(F3, (2, 3))
     c1 = build_code(grid, 2)
     c2 = build_code(grid, 0)
     ell = c1.dim - c2.dim
+    where = r" for band DegreeBand\(u2=0, u1=2\) in box \(2, 3\)$"
     for bad in (0, ell + 1):
-        with pytest.raises(RghwError, match=rf"r = {bad} outside 1\.\.{ell}$"):
+        with pytest.raises(RghwError, match=rf"r = {bad} outside 1\.\.{ell}{where}"):
             oracle_rghw_support(c1, c2, bad, None)
-        with pytest.raises(RghwError, match=rf"r = {bad} outside 1\.\.{ell}$"):
+        with pytest.raises(RghwError, match=rf"r = {bad} outside 1\.\.{ell}{where}"):
             oracle_rghw_window(c1, c2, bad)
     with pytest.raises(RghwError, match=r"r = 0 outside 1\.\."):
         oracle_max_zeros_families(grid, DegreeBand(0, 2), 0)
@@ -401,11 +442,11 @@ NOT_INTS = {
     ),
     "support r 1.0": (
         lambda: oracle_rghw_support(build_code(GRID_34, 1), None, 1.0, None),
-        r"r = 1\.0 outside 1\.\.3$",
+        r"r = 1\.0 outside 1\.\.3 for band DegreeBand\(u2=-1, u1=1\) in box \(3, 4\)$",
     ),
     "window r True": (
         lambda: oracle_rghw_window(build_code(GRID_34, 2), build_code(GRID_34, 0), True),
-        r"r = True outside 1\.\.5$",
+        r"r = True outside 1\.\.5 for band DegreeBand\(u2=0, u1=2\) in box \(3, 4\)$",
     ),
 }
 
@@ -451,7 +492,8 @@ def test_invalid_call_keeps_the_held_pair():
     c1 = build_code(build_grid(F3, (2, 3)), 2)
     other = build_code(build_grid(F2, (2,)), 1)
     oracle_rghw_support(c1, None, 1, None)
-    with pytest.raises(RghwError, match=r"r = 5 outside 1\.\.2$"):
+    refusal = r"r = 5 outside 1\.\.2 for band DegreeBand\(u2=-1, u1=1\) in box \(2,\)$"
+    with pytest.raises(RghwError, match=refusal):
         oracle_rghw_support(other, None, 5, None)
     # rank 2 is still bounded by M_1 + 1 = 3: 116 states, not a cold 196
     assert oracle_rghw_support(c1, None, 2, None).states_explored == 116
@@ -563,6 +605,26 @@ def test_reasked_rank_searches_again():
         (3, 116),
     ]
     assert again.witnesses == cold.witnesses
+
+
+@pytest.mark.parametrize("field, sizes", [(F3, (2, 3)), (F4, (2, 2))], ids=str)
+def test_state_refusal_reports_one_past_the_cap(field, sizes):
+    # however a route charges its states, in batches or one by one, a state
+    # refusal reports max_states + 1, the state a one-by-one walk stops at
+    for grid, u1, u2, ell in chain_pairs(field, sizes):
+        for r in range(1, ell + 1):
+            routes = (
+                lambda c1, c2, budget=None: SupportOracle(c1, c2).rank(r, budget),
+                lambda c1, c2, budget=None: oracle_rghw_window(c1, c2, r, budget),
+            )
+            for route in routes:
+                states = route(*fresh_pair(grid, u1, u2)).states_explored
+                caps = sorted({1 + (states - 1) * i // 10 for i in range(10)})
+                for cap in (cap for cap in caps if cap < states):
+                    with pytest.raises(BudgetExceeded) as err:
+                        route(*fresh_pair(grid, u1, u2), OracleBudget(max_states=cap))
+                    assert err.value.states_explored == cap + 1, (sizes, u1, u2, r, cap)
+                    assert f"({cap + 1} > {cap})" in str(err.value)
 
 
 @pytest.mark.parametrize("field, sizes", [(F3, (2, 3)), (F4, (2, 2, 2))], ids=str)

@@ -17,6 +17,7 @@ from rghw.boxcomb import (
     lex_rank_in_leq,
     nth_band_element,
     rghw,
+    shadow,
 )
 from rghw.codes import (
     LeadingTerm,
@@ -82,6 +83,28 @@ NOT_INTS = {
 def test_exponents_and_coefficients_must_be_ints(case):
     build, message = NOT_INTS[case]
     with pytest.raises(RghwError, match=message):
+        build()
+
+
+# a point or an exponent that is not a tuple; each raised TypeError, or
+# was taken, before
+NOT_TUPLES = {
+    "exponent 1": (lambda: MultiPoly(F3, GRID_23.shape, {1: 1}), "exponent 1 outside box"),
+    "exponent '10'": (lambda: MultiPoly(F3, GRID_23.shape, {"10": 1}), "exponent '10' outside box"),
+    "lex rank 5": (lambda: lex_rank_in_leq(GRID_23.shape, 2, 5), "point 5 outside box"),
+    "lex rank [0, 1]": (
+        lambda: lex_rank_in_leq(GRID_23.shape, 2, [0, 1]), r"point \[0, 1\] outside box"
+    ),
+    "maximal 5": (lambda: make_maximal_poly(GRID_23, 5), "point 5 outside box"),
+    "shadow [5]": (lambda: shadow(GRID_23.shape, [5]), "point 5 outside box"),
+    "shadow [[1, 1]]": (lambda: shadow(GRID_23.shape, [[1, 1]]), r"point \[1, 1\] outside box"),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_TUPLES))
+def test_points_and_exponents_must_be_tuples(case):
+    build, message = NOT_TUPLES[case]
+    with pytest.raises(RghwError, match=rf"^{message} \(2, 3\)$"):
         build()
 
 
