@@ -41,7 +41,7 @@ from functools import lru_cache
 from math import prod
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import RghwError
+from .errors import RghwError, check_int, shown
 
 BoxPoint = tuple  # int tuples; validated against a BoxShape at API boundaries
 
@@ -57,8 +57,7 @@ class BoxShape(NamedTuple("BoxShape", [("d", tuple)])):
         if not sizes:
             raise RghwError("a box needs at least one coordinate")
         for s in sizes:
-            if type(s) is not int or s < 1:
-                raise RghwError(f"box side {s!r} is not a positive int")
+            check_int(s, 1, None, "box side {} is not a positive int")
         return super().__new__(cls, tuple(sorted(sizes)))
 
     @property
@@ -77,9 +76,9 @@ class BoxShape(NamedTuple("BoxShape", [("d", tuple)])):
         shaped = type(a) is tuple and len(a) == len(self.d)
         return shaped and all(type(x) is int and 0 <= x < s for x, s in zip(a, self.d))
 
-    def require_point(self, a: BoxPoint) -> None:
+    def require_point(self, a: BoxPoint, what: str = "point") -> None:
         if not self.contains(a):
-            raise RghwError(f"point {a!r} outside box {self.d}")
+            raise RghwError(f"{what} {shown(a)} outside box {self.d}")
 
     def encode(self, a: BoxPoint) -> int:
         """Mixed-radix encoding sum(a_i * prod(d_j, j>i)); the same sum the
@@ -105,17 +104,14 @@ class DegreeBand(NamedTuple("DegreeBand", [("u2", int), ("u1", int)])):
 
     def __new__(cls, u2: int, u1: int):
         if type(u2) is not int or type(u1) is not int:
-            raise RghwError(f"band bounds u2 = {u2!r}, u1 = {u1!r} are not both ints")
-        if u2 < -1:
-            raise RghwError(f"u2 = {u2} < -1")
-        if u2 >= u1:
-            raise RghwError(f"empty band: u2 = {u2} >= u1 = {u1}")
+            raise RghwError(f"band bounds u2 = {shown(u2)}, u1 = {shown(u1)} are not both ints")
+        check_int(u2, -1, None, "u2 = {} < -1")
+        check_int(u2, -1, u1 - 1, "empty band: u2 = {} >= u1 = {}", u1)
         return super().__new__(cls, u2, u1)
 
 
 def check_band(shape: BoxShape, band: DegreeBand) -> None:
-    if band.u1 > shape.k:
-        raise RghwError(f"u1 = {band.u1} > k = {shape.k} for box {shape.d}")
+    check_int(band.u1, 0, shape.k, "u1 = {} > k = {hi} for box {}", shape.d)
 
 
 # -- degree counting ------------------------------------------------------------
@@ -163,8 +159,7 @@ def band_size(shape: BoxShape, band: DegreeBand) -> int:
 def check_rank(shape: BoxShape, band: DegreeBand, r: int) -> None:
     """Raises RghwError unless r is an int in 1..band_size(shape, band)."""
     size = band_size(shape, band)
-    if type(r) is not int or not 1 <= r <= size:
-        raise RghwError(f"r = {r!r} outside 1..{size} for band {band} in box {shape.d}")
+    check_int(r, 1, size, "r = {} outside 1..{hi} for band {} in box {}", band, shape.d)
 
 
 def iter_band(shape: BoxShape, band: DegreeBand) -> Iterator[BoxPoint]:
@@ -229,8 +224,7 @@ def lex_rank_in_leq(shape: BoxShape, u1: int, a: BoxPoint) -> int:
     order, in O(m): the points above a that share its first i digits and
     exceed it at digit i are two lookups in the table after digit i."""
     shape.require_point(a)
-    if sum(a) > u1:
-        raise RghwError(f"deg{a!r} = {sum(a)} > u1 = {u1}")
+    check_int(u1, sum(a), None, "deg{1} = {lo} > u1 = {0}", a)
     return _rank_in_leq(shape.d, u1, a)
 
 

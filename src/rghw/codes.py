@@ -46,7 +46,7 @@ from random import Random
 from typing import Iterable, NamedTuple, Sequence
 
 from .boxcomb import BoxShape, DegreeBand, check_rank, iter_band
-from .errors import RghwError
+from .errors import RghwError, check_int, shown
 from .gf import Field
 
 
@@ -113,8 +113,7 @@ class CartesianGrid:
         shape = BoxShape(sizes)
         order = tuple(sorted(range(len(sizes)), key=sizes.__getitem__))
         q = field.q
-        if shape.d[-1] > q:
-            raise RghwError(f"d_m = {shape.d[-1]} > q = {q}")
+        check_int(shape.d[-1], 1, q, "d_m = {} > q = {hi}")
         if subsets is not None:
             if len(subsets) != shape.m:
                 raise RghwError(f"{len(subsets)} subsets for an m = {shape.m} box")
@@ -122,17 +121,16 @@ class CartesianGrid:
                 if len(sub) != size:
                     raise RghwError(f"subset {i} has size {len(sub)}, box side is {size}")
                 if len(set(sub)) != len(sub):
-                    raise RghwError(f"subset {i} repeats elements: {tuple(sub)}")
+                    raise RghwError(f"subset {i} repeats elements: {shown(tuple(sub))}")
                 for g in sub:
-                    if not 0 <= g < q:
-                        raise RghwError(f"element {g!r} is not a GF({q}) encoding")
+                    check_int(g, 0, q - 1, "element {} is not a GF({}) encoding", q)
             subsets = [subsets[i] for i in order]  # as the sizes, ascending
         elif policy == "first":
             subsets = [range(d) for d in shape.d]
         elif policy == "last":
             subsets = [range(q - d, q) for d in shape.d]
         else:
-            raise RghwError(f"unknown subset policy {policy!r}")
+            raise RghwError(f"unknown subset policy {shown(policy)}")
         self.field = field
         self.shape = shape
         self.permutation = order
@@ -141,7 +139,8 @@ class CartesianGrid:
 
     def monomial_values(self, exp) -> tuple:
         """Values of x^exp at every grid point, in point order."""
-        return self.evaluate(MultiPoly(self.field, self.shape, {tuple(exp): 1}))
+        self.shape.require_point(exp, "exponent")  # before a list is made a dict key
+        return self.evaluate(MultiPoly(self.field, self.shape, {exp: 1}))
 
     def evaluate(self, poly: MultiPoly, count=None) -> tuple:
         """Values of `poly` at the grid points before `count` (all n without
@@ -193,8 +192,7 @@ class CartesianCode:
     __slots__ = ("grid", "d", "basis", "G", "parity_columns")
 
     def __init__(self, grid: CartesianGrid, d: int):
-        if not 0 <= d <= grid.shape.k:
-            raise RghwError(f"degree bound {d} outside 0..{grid.shape.k}")
+        check_int(d, 0, grid.shape.k, "degree bound {} outside 0..{hi}")
         self.grid = grid
         self.d = d
         self.basis = tuple(iter_band(grid.shape, DegreeBand(-1, d)))
@@ -250,10 +248,9 @@ class MultiPoly:
     def __init__(self, field: Field, shape: BoxShape, terms: dict):
         clean = {}
         for exp, c in terms.items():
-            if not shape.contains(exp):
-                raise RghwError(f"exponent {exp!r} outside box {shape.d}")
-            if type(c) is not int or not 0 <= c < field.q:
-                raise RghwError(f"coefficient {c!r} is not a canonical GF({field.q}) encoding")
+            if not shape.contains(exp):  # a bool test per term, and a call only to raise
+                shape.require_point(exp, "exponent")
+            check_int(c, 0, field.q - 1, "coefficient {} is not a canonical GF({}) encoding", field.q)
             if c:
                 clean[exp] = c
         self.field = field

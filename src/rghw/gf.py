@@ -42,7 +42,7 @@ from __future__ import annotations
 from itertools import repeat
 from operator import or_, rshift
 
-from .errors import RghwError
+from .errors import RghwError, check_int
 
 _MAX_Q = 1 << 16
 
@@ -236,8 +236,7 @@ class Field:
     __slots__ = ("q", "p", "e", "modulus", "_exp", "_log", "_zech", "_log_neg1")
 
     def __init__(self, q: int):
-        if not isinstance(q, int) or q < 2 or q > _MAX_Q:
-            raise RghwError(f"q = {q!r} outside supported range 2..{_MAX_Q}")
+        check_int(q, 2, _MAX_Q, "q = {} outside supported range {lo}..{hi}")
         self.q = q
         self.p, self.e = _prime_power(q)
         self.modulus = _smallest_irreducible(self.p, self.e) if self.e > 1 else ()

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 from .boxcomb import DegreeBand, check_rank
 from .codes import CartesianCode
-from .errors import BudgetExceeded, RghwError
+from .errors import BudgetExceeded, RghwError, check_int, shown
 from .gf import PackedVectors, digits
 
 DEFAULT_MAX_STATES = 10**8
@@ -67,15 +67,10 @@ class OracleBudget(NamedTuple("OracleBudget", [("max_states", int), ("time_cap",
     _make = classmethod(lambda cls, fields: cls(*fields))  # checked; _replace calls it
 
     def __new__(cls, max_states: int = DEFAULT_MAX_STATES, time_cap: int = DEFAULT_TIME_CAP):
-        try:  # str() refuses an int of more digits than sys.get_int_max_str_digits()
-            if type(max_states) is not int or type(time_cap) is not int:
-                raise RghwError(f"budget {max_states!r} states, {time_cap!r} s is not two ints")
-            if max_states < 1:
-                raise RghwError(f"state budget {max_states} is below 1")
-            if time_cap < 0:
-                raise RghwError(f"time budget {time_cap} s is negative")
-        except ValueError:
-            raise RghwError("budget refused: a value has more digits than str() prints") from None
+        if type(max_states) is not int or type(time_cap) is not int:
+            raise RghwError(f"budget {shown(max_states)} states, {shown(time_cap)} s is not two ints")
+        check_int(max_states, 1, None, "state budget {} is below 1")
+        check_int(time_cap, 0, None, "time budget {} s is negative")
         if time_cap > MAX_TIME_CAP:  # unprinted: it may have more digits than str() allows
             raise RghwError(f"time budget is above {MAX_TIME_CAP} s")
         return super().__new__(cls, max_states, time_cap)

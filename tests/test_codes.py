@@ -141,6 +141,15 @@ def test_monomial_values_examples():
         grid.monomial_values((2, 0))
 
 
+@pytest.mark.parametrize("exp", [5, [1, 0]])
+def test_monomial_values_takes_an_exponent_tuple(exp):
+    # an int or a list in place of the tuple is bad input, refused by name
+    # before the list would be made a dict key
+    grid = CartesianGrid(F4, (2, 3))
+    with pytest.raises(RghwError, match=f"^{re.escape(f'exponent {exp!r} outside box (2, 3)')}$"):
+        grid.monomial_values(exp)
+
+
 # exponents outside the (2, 3) box; the polynomial's constructor refuses each
 OUTSIDE_THE_BOX = [(1, 0, 1), (1,), (-1, 0), (1, 5)]
 

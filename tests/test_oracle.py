@@ -30,6 +30,7 @@ from rghw.oracle import (
     oracle_rghw_support,
     oracle_rghw_window,
 )
+from test_errors import H, printed
 from test_gf import PRIME_POWERS
 
 F2 = Field(2)
@@ -345,10 +346,15 @@ def test_budget_time_cap_has_a_maximum():
 
 def test_budget_too_long_to_print_is_bad_input():
     # a refused value with more digits than str() prints must not turn the
-    # message into an internal ValueError
-    for states, cap in ((-10**5000, 1), (1, -10**5000), (10**5000, 0.5)):
-        with pytest.raises(RghwError, match=r"^budget refused: a value has more digits than str"):
+    # message into an internal ValueError; the stand-in takes its place
+    for states, cap, message in (
+        (-H, 1, f"state budget {printed(-H)} is below 1"),
+        (1, -H, f"time budget {printed(-H)} s is negative"),
+        (H, 0.5, f"budget {printed(H)} states, 0.5 s is not two ints"),
+    ):
+        with pytest.raises(RghwError) as refused:
             OracleBudget(states, cap)
+        assert str(refused.value) == message
 
 
 def test_invalid_nesting():

@@ -33,7 +33,7 @@ from pathlib import Path
 import rghw
 
 PACKAGE = Path(rghw.__file__).parent
-# lines of src/rghw/*.py once the oracles left the pair and rank checks to boxcomb;
+# lines of src/rghw/*.py once every scalar input went through errors.check_int;
 # the package may shrink below it but not grow past it
 SOURCE_LINE_CAP = 1821
 
