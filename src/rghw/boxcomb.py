@@ -2,46 +2,40 @@
 
 A BoxShape holds the sides sorted, d_1 <= ... <= d_m, as the paper states
 every weight; the order they were given in is `CartesianGrid.permutation`.
-
-Points of the box are plain int tuples.  Two orders matter throughout:
-the coordinatewise partial order (a <= b in every coordinate) and the
-lexicographic order on tuples; descending lexicographic enumeration of
-degree bands is what the closed weight formula ranks against.
-
-deg(a) = a_1 + ... + a_m.  The degree band (u2, u1] is the set of box
-points with u2 < deg(a) <= u1; bands must be nonempty as intervals
-(-1 <= u2 < u1 <= k where k = sum(d_i - 1)).
+Points are plain int tuples, under the coordinatewise partial order (a <= b
+in every coordinate) and the lexicographic order.  deg(a) = a_1 + ... + a_m;
+the degree band (u2, u1] is the set of box points with u2 < deg(a) <= u1,
+where -1 <= u2 < u1 <= k = sum(d_i - 1).
 
 The shadow of a set S is its upward closure under the partial order;
 the footprint is the complement of the shadow in the box.  A band is
-walked in descending-lex order by successor, O(m) a point.  Ranking and
-unranking inside bands count digit by digit against one table per shape
-of second-order degree sums, so ranks are reachable without ever
-enumerating the box: unranking costs O(m log max(d)), ranking O(m).
+walked in descending-lex order by successor, O(m) a point.  Ranking, in
+O(m), and unranking count digit by digit against one cached table per
+shape of second-order degree sums, never enumerating the box: a digit is
+unranked by one C-level bisection of the table, and by a key bisection
+over [0, v] only where it is at or below the lower cut left for it.
 
-The weights are read off these orders.  For the nested pair with degree
-bounds u1 > u2 (u2 = -1 meaning the zero subcode, i.e. plain generalized
-Hamming weights), the r-th relative weight over the box is
+For the nested pair with degree bounds u1 > u2 (u2 = -1: the zero
+subcode, i.e. generalized Hamming weights), the r-th relative weight is
 
     M_r = d_1*...*d_m - encode(a_r) - s + r
 
-where a_r is the r-th element of the degree band (u2, u1] in descending
-lexicographic order, encode is the mixed-radix encoding sum(a_i *
-prod(d_j, j > i)), and s is the 1-based descending-lex rank of a_r among
-all box points of degree <= u1.  For u2 = -1 the band is all of
-{deg <= u1} in that same order, so s = r and M_r = n - encode(a_r): only
-a relative band looks s up.  No field, no grid, no enumeration.
+where a_r is the r-th element of the band (u2, u1] in descending lex
+order, encode(a) = sum(a_i * prod(d_j, j > i)), the mixed-radix encoding,
+and s is the 1-based descending-lex rank of a_r among all box points of
+degree <= u1.  For u2 = -1 the band is all of {deg <= u1}, so s = r and
+M_r = n - encode(a_r): only a relative band looks s up.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from math import prod
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import RghwError, check_int, shown
+from .errors import RghwError, as_tuple, check_int, shown
 
 BoxPoint = tuple  # int tuples; validated against a BoxShape at API boundaries
 
@@ -53,7 +47,7 @@ class BoxShape(NamedTuple("BoxShape", [("d", tuple)])):
     _make = classmethod(lambda cls, fields: cls(*fields))  # checked; _replace calls it
 
     def __new__(cls, sizes: Iterable[int]):
-        sizes = tuple(sizes)
+        sizes = as_tuple(sizes, "box sides")
         if not sizes:
             raise RghwError("a box needs at least one coordinate")
         for s in sizes:
@@ -119,14 +113,11 @@ def check_band(shape: BoxShape, band: DegreeBand) -> None:
 
 @lru_cache(maxsize=None)
 def _sum_tables(d: tuple) -> tuple:
-    """Second-order degree sums of the box over d[i+1:], for each i.
-
-    With C(t) the box's number of points of degree <= t, entry i is the
-    tuple S with S[t] = C(0) + ... + C(t) up to one past the box's top
-    degree, where C reaches the point count and S goes on linearly
-    (`_sum`).  A box's C is two sums of the box after it, C(t) =
-    S'(t) - S'(t - d_i), so building costs O(m * k) and no C is kept.
-    """
+    """Second-order degree sums of the box over d[i+1:], for each i: with
+    C(t) that box's number of points of degree <= t, the tuple S with S[t] =
+    C(0) + ... + C(t) up to one past its top degree, past which S goes on
+    linearly (`_sum`).  C(t) = S'(t) - S'(t - d_i) on the table S' of the box
+    after it, so building costs O(m * k)."""
     tables = [(1, 2)]  # the empty box: C(t) = 1 for every t >= 0
     for side in reversed(d[1:]):
         prev = tables[-1]
@@ -163,12 +154,9 @@ def check_rank(shape: BoxShape, band: DegreeBand, r: int) -> None:
 
 
 def iter_band(shape: BoxShape, band: DegreeBand) -> Iterator[BoxPoint]:
-    """Band members in descending lexicographic order, one at a time.
-
-    The walk goes by successor: the rightmost digit that can drop by one
-    and still leave degree above u2 for the digits after it drops, and
-    those digits refill greedily up to u1.  A step costs O(m).
-    """
+    """Band members in descending lexicographic order, one at a time, by
+    successor in O(m): the rightmost digit whose drop by one can still leave
+    degree above u2 drops, and the digits after it refill greedily up to u1."""
     check_band(shape, band)
     d, u2, u1 = shape.d, band.u2, band.u1
     top_degree_after = [sum(d[i + 1 :]) - len(d[i + 1 :]) for i in range(len(d))]
@@ -191,14 +179,12 @@ def iter_band(shape: BoxShape, band: DegreeBand) -> Iterator[BoxPoint]:
 
 def nth_band_element(shape: BoxShape, band: DegreeBand, r: int) -> BoxPoint:
     """The r-th member (1-based) of the band in descending lexicographic
-    order, digit by digit without enumeration, in O(m log max(d)).
-
-    With the prefix fixed and (lo, hi] the degrees left for the rest, the
-    band points whose next digit is >= v number F(v) - F(d_i), where
+    order.  With the prefix fixed and (lo, hi] the degrees left for the rest,
+    the band points whose next digit is >= v number F(v) - F(d_i), where
     F(v) = S(hi - v) - S(lo - v) on the table of the box after the digit.
-    F does not increase with v, so the digit, the largest v with
-    F(v) - F(d_i) >= r, is a bisection.
-    """
+    The digit is the largest v with F(v) >= target = r + F(d_i).  S(lo - v)
+    is 0 for v > lo, so v = hi - min{t : S(t) >= target} there: one bisection
+    of the table.  Else F, which does not increase with v, is bisected on [0, v]."""
     check_rank(shape, band, r)
     return _nth_band_element(shape.d, band, r)
 
@@ -209,13 +195,15 @@ def _nth_band_element(d: tuple, band: DegreeBand, r: int) -> BoxPoint:
     out = []
     for tab, side in zip(_sum_tables(d), d):
         target = r + _sum(tab, hi - side) - _sum(tab, lo - side)
-        v = bisect_right(
-            range(side), -target, key=lambda v: _sum(tab, lo - v) - _sum(tab, hi - v)
-        ) - 1
+        t = bisect_left(tab, target)
+        if t == len(tab):  # past the top, S goes up by tab[-1] - tab[-2] a degree
+            t -= 1 + (tab[-1] - target) // (tab[-1] - tab[-2])
+        v = hi - t
+        if v <= lo:
+            v = bisect_right(range(v + 1), -target, key=lambda v: _sum(tab, lo - v) - _sum(tab, hi - v)) - 1
         r = target - _sum(tab, hi - v - 1) + _sum(tab, lo - v - 1)
         out.append(v)
-        lo -= v
-        hi -= v
+        lo, hi = lo - v, hi - v
     return tuple(out)
 
 
@@ -245,7 +233,7 @@ def shadow(shape: BoxShape, points: Iterable[BoxPoint]) -> set:
     """Upward closure of `points` in the box under the partial order."""
     seen = set()
     stack = []
-    for a in points:
+    for a in as_tuple(points, "points"):
         shape.require_point(a)
         if a not in seen:
             seen.add(a)

@@ -46,7 +46,7 @@ from random import Random
 from typing import Iterable, NamedTuple, Sequence
 
 from .boxcomb import BoxShape, DegreeBand, check_rank, iter_band
-from .errors import RghwError, check_int, shown
+from .errors import RghwError, as_tuple, check_int, shown
 from .gf import Field
 
 
@@ -109,19 +109,21 @@ class CartesianGrid:
     __slots__ = ("field", "shape", "permutation", "subsets", "_cols")
 
     def __init__(self, field: Field, sizes: Iterable[int], subsets=None, policy="first"):
-        sizes = tuple(sizes)
+        sizes = as_tuple(sizes, "box sides")
         shape = BoxShape(sizes)
         order = tuple(sorted(range(len(sizes)), key=sizes.__getitem__))
         q = field.q
         check_int(shape.d[-1], 1, q, "d_m = {} > q = {hi}")
         if subsets is not None:
+            subsets = [as_tuple(sub, f"subset {i}") for i, sub in enumerate(as_tuple(subsets, "subsets"))]
             if len(subsets) != shape.m:
                 raise RghwError(f"{len(subsets)} subsets for an m = {shape.m} box")
             for i, (sub, size) in enumerate(zip(subsets, sizes)):
                 if len(sub) != size:
                     raise RghwError(f"subset {i} has size {len(sub)}, box side is {size}")
-                if len(set(sub)) != len(sub):
-                    raise RghwError(f"subset {i} repeats elements: {shown(tuple(sub))}")
+                ints = [g for g in sub if type(g) is int]  # check_int refuses the rest below
+                if len(set(ints)) != len(ints):
+                    raise RghwError(f"subset {i} repeats elements: {shown(sub)}")
                 for g in sub:
                     check_int(g, 0, q - 1, "element {} is not a GF({}) encoding", q)
             subsets = [subsets[i] for i in order]  # as the sizes, ascending

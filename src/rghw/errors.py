@@ -1,9 +1,10 @@
-"""The package's two exception types, and the one int rule.
+"""The package's two exception types, and the one int and container rules.
 
 RghwError is any violated precondition (the CLI exits 2); its message
 names the check.  BudgetExceeded is an oracle's refusal (exit 3 when an
-oracle was requested).  Anything else raised is an internal error.
-`check_int` checks each scalar input; `shown` prints each value a message shows.
+oracle was requested); anything else raised is an internal error.
+`check_int` checks each scalar input, `as_tuple` each container, and
+`shown` prints each value a message shows.
 """
 
 from __future__ import annotations
@@ -38,3 +39,12 @@ def check_int(value, lo: int, hi: int | None, template: str, *context) -> None:
     end), with `template` filled by value, context, {lo} and {hi}, each shown."""
     if type(value) is not int or value < lo or hi is not None and value > hi:
         raise RghwError(template.format(shown(value), *map(shown, context), lo=shown(lo), hi=shown(hi)))
+
+
+def as_tuple(value, what: str) -> tuple:
+    """tuple(value); RghwError where value is not iterable."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise RghwError(f"{what} must be iterable, not {shown(value)}") from None
+    return tuple(items)

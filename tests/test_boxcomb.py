@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from random import Random
 
 import pytest
@@ -313,6 +314,38 @@ def test_unranking_huge_box_without_enumeration():
     assert band_size(shape, sliver) == 7
     assert nth_band_element(shape, sliver, 1) == (6, 0)
     assert nth_band_element(shape, sliver, 7) == (0, 6)
+
+
+# every box with sides <= 5 at m <= 3 and with sides <= 3 at m = 4, each once
+SMALL_BOXES = [
+    BoxShape(sizes)
+    for m, top in ((1, 5), (2, 5), (3, 5), (4, 3))
+    for sizes in itertools.combinations_with_replacement(range(1, top + 1), m)
+]
+
+
+def unrank_branches(shape, band, a):
+    """The branches that unranking a takes, read off a alone: a digit at or
+    below the lower cut left for it is found by the fallback bisection of F;
+    any other digit v is hi - t for the least t with S(t) >= target, found in
+    the table unless t is past the table's top index, one more than the top
+    degree of the box after the digit."""
+    lo, hi, taken = band.u2, band.u1, set()
+    for i, v in enumerate(a):
+        top = sum(shape.d[i + 1 :]) - (shape.m - i - 1) + 1
+        taken.add("fallback" if v <= lo else "past the top" if hi - v > top else "table")
+        lo, hi = lo - v, hi - v
+    return taken
+
+
+def test_unranking_matches_the_walk_on_every_small_band():
+    taken = Counter()
+    for shape in SMALL_BOXES:
+        for band in all_bands(shape):
+            for r, a in enumerate(iter_band(shape, band), start=1):
+                assert nth_band_element(shape, band, r) == a, (shape, band, r)
+                taken.update(unrank_branches(shape, band, a))
+    assert set(taken) == {"fallback", "table", "past the top"}, taken
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

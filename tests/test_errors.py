@@ -1,9 +1,12 @@
-"""One int rule for every scalar input, and every refused value printed.
+"""One int rule for every scalar input, one container rule, and every
+refused value printed.
 
 `errors.check_int` refuses anything but an int exactly inside its range,
 and `errors.shown` prints the refused value, so an int of more digits
 than str() prints (10**5000 against the default limit of 4300) is bad
 input like any other: RghwError, never the ValueError that str() raises.
+`errors.as_tuple` refuses a container argument that is not iterable, so
+that is RghwError too, never the TypeError of iterating it.
 """
 
 import sys
@@ -78,6 +81,14 @@ REFUSED = [
     # grid elements are ints exactly: a float or a bool is no GF(q) encoding
     ("float element", lambda: CartesianGrid(F3, [2], [[0, 1.0]]), "1.0", "element {} is not a GF(3) encoding"),
     ("bool element", lambda: CartesianGrid(F3, [2], [[0, True]]), "True", "element {} is not a GF(3) encoding"),
+    # a container argument must be iterable; a subset's repeats test hashes
+    # only its int elements, and the element check refuses the rest
+    ("box sides", lambda: BoxShape(5), "5", "box sides must be iterable, not {}"),
+    ("shadow points", lambda: shadow(SHAPE, 5), "5", "points must be iterable, not {}"),
+    ("grid sizes", lambda: CartesianGrid(F3, 5), "5", "box sides must be iterable, not {}"),
+    ("grid subsets", lambda: CartesianGrid(F3, [2], 5), "5", "subsets must be iterable, not {}"),
+    ("grid subset", lambda: CartesianGrid(F3, [2], [5]), "5", "subset 0 must be iterable, not {}"),
+    ("list element", lambda: CartesianGrid(F3, [2], [[0, [1]]]), "[1]", "element {} is not a GF(3) encoding"),
 ]
 
 
